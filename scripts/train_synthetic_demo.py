@@ -118,11 +118,7 @@ def main(argv=None):
     model_path.write_bytes(save_model(result.model))
     ranking_path = out_dir / "ranking.csv"
     with open(ranking_path, "w", encoding="utf-8") as handle:
-        handle.write("rank,features,hidden_nodes,cv_error,param_count\n")
-        for i, entry in enumerate(result.ranking, start=1):
-            handle.write(f"{i},{'+'.join(entry.features)},"
-                         f"{entry.hidden_nodes},{entry.cv_error!r},"
-                         f"{entry.param_count}\n")
+        handle.write(result.ranking_csv())
     print(f"model -> {model_path}\nranking -> {ranking_path}")
     return 0
 

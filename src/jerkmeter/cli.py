@@ -20,16 +20,18 @@ failure (unreadable input, malformed video, numerical breakdown). With
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
+from typing import Iterator
 
 import numpy as np
 
 from .degradation import FreezeKind, FreezePlan, add_capture_noise, gradient_video, inject
 from .errors import ConfigError, JerkmeterError
 from .eval_metrics import evaluate
-from .features import FEATURE_NAMES, FeatureVector, analyze
+from .features import FEATURE_NAMES, analyze
 from .frame_analysis import compute_series
 from .freeze_detection import (
     DetectorConfig,
@@ -47,7 +49,7 @@ from .training import (
     exhaustive_search,
     load_samples_csv,
 )
-from .video_io import ChromaFormat, VideoHeader, VideoSequence, parse_raw_yuv, parse_y4m, write_y4m
+from .video_io import ChromaFormat, VideoHeader, VideoSequence, Y4MReader, write_y4m
 
 JSON_SCHEMA = 1
 
@@ -109,18 +111,19 @@ def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
         raise ConfigError(f"{flag} expects comma-separated integers, got {text!r}")
 
 
-def _read_video(path: str, args) -> VideoSequence:
-    if path.lower().endswith(".y4m"):
-        with open(path, "rb") as handle:
-            return parse_y4m(handle)
-    if getattr(args, "size", None) is None:
-        raise ConfigError("raw YUV input requires --size WxH")
-    width, height = _parse_size(args.size)
-    fps_num, fps_den = _parse_fps(args.fps)
-    header = VideoHeader(width=width, height=height, fps_num=fps_num,
-                         fps_den=fps_den, chroma=_CHROMA_CHOICES[args.chroma])
+@contextlib.contextmanager
+def _open_video(path: str, args) -> Iterator[Y4MReader]:
+    """Stream the input clip: Y4M by extension, else raw YUV per --size."""
+    header = None
+    if not path.lower().endswith(".y4m"):
+        if getattr(args, "size", None) is None:
+            raise ConfigError("raw YUV input requires --size WxH")
+        width, height = _parse_size(args.size)
+        fps_num, fps_den = _parse_fps(args.fps)
+        header = VideoHeader(width=width, height=height, fps_num=fps_num,
+                             fps_den=fps_den, chroma=_CHROMA_CHOICES[args.chroma])
     with open(path, "rb") as handle:
-        return parse_raw_yuv(handle, header)
+        yield Y4MReader(handle, header)
 
 
 def _detector_config(args) -> DetectorConfig:
@@ -182,7 +185,8 @@ def _cmd_synth(args) -> int:
 def _cmd_degrade(args) -> int:
     events = _parse_events(args.events)
     plan = FreezePlan(kind=FreezeKind(args.kind), events=events)
-    seq = _read_video(args.input, args)
+    with _open_video(args.input, args) as reader:
+        seq = VideoSequence.from_reader(reader)
     degraded, truth = inject(seq, plan)
     if args.capture_noise > 0.0:
         degraded = add_capture_noise(degraded, args.capture_noise, seed=args.seed)
@@ -201,11 +205,11 @@ def _cmd_degrade(args) -> int:
 
 
 def _cmd_fd(args) -> int:
-    seq = _read_video(args.input, args)
-    series = compute_series(seq)
+    with _open_video(args.input, args) as reader:
+        series = compute_series(reader)
     doc = {
         "frame_count": series.frame_count,
-        "fps": seq.header.fps,
+        "fps": reader.header.fps,
         "values": [float(v) for v in series.values],
         "scene_cuts": [int(i) for i in np.flatnonzero(series.scene_cut_flags)],
     }
@@ -221,10 +225,10 @@ def _cmd_fd(args) -> int:
 
 
 def _cmd_detect(args) -> int:
-    seq = _read_video(args.input, args)
-    series = compute_series(seq)
+    with _open_video(args.input, args) as reader:
+        series = compute_series(reader)
     config = _detector_config(args)
-    timeline = detect_freezes(series, config=config, fps=seq.header.fps)
+    timeline = detect_freezes(series, config=config, fps=reader.header.fps)
     doc = {
         "threshold": freeze_threshold(series, config),
         **_timeline_doc(timeline),
@@ -258,11 +262,11 @@ def _cmd_detect(args) -> int:
 
 
 def _cmd_features(args) -> int:
-    seq = _read_video(args.input, args)
-    result = analyze(seq, config=_detector_config(args))
+    with _open_video(args.input, args) as reader:
+        result = analyze(reader, config=_detector_config(args))
     doc = dict(result.features.as_dict())
     doc["frame_count"] = result.timeline.frame_count
-    doc["fps"] = seq.header.fps
+    doc["fps"] = result.timeline.fps
 
     def human(d):
         for name in FEATURE_NAMES:
@@ -274,8 +278,8 @@ def _cmd_features(args) -> int:
 
 def _cmd_score(args) -> int:
     model = _load_model_arg(args)
-    seq = _read_video(args.input, args)
-    result = analyze(seq, config=_detector_config(args))
+    with _open_video(args.input, args) as reader:
+        result = analyze(reader, config=_detector_config(args))
     score = score_features(result.features, model)
     doc = {
         "dmos_pred": score.dmos_pred,
@@ -310,11 +314,7 @@ def _cmd_train(args) -> int:
         handle.write(save_model(result.model))
     if args.ranking:
         with open(args.ranking, "w", encoding="utf-8") as handle:
-            handle.write("rank,features,hidden_nodes,cv_error,param_count\n")
-            for i, entry in enumerate(result.ranking, start=1):
-                handle.write(
-                    f"{i},{'+'.join(entry.features)},{entry.hidden_nodes},"
-                    f"{entry.cv_error!r},{entry.param_count}\n")
+            handle.write(result.ranking_csv())
     best = result.best
     doc = {
         "out": args.out,
@@ -345,10 +345,7 @@ def _cmd_eval(args) -> int:
     preds = []
     dmos = []
     for sample in samples:
-        fv = sample.features
-        if not isinstance(fv, FeatureVector):
-            fv = FeatureVector(**{k: float(fv[k]) for k in FEATURE_NAMES})
-        preds.append(score_features(fv, model).dmos_pred)
+        preds.append(score_features(sample.features, model).dmos_pred)
         dmos.append(sample.dmos)
     report = evaluate(preds, dmos, scale_range=args.range)
     doc = {**report.as_dict(), "calibrated": model.calibrated}

@@ -11,14 +11,14 @@ paused it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable
 
 import numpy as np
 
 from .errors import ShapeError
 from .frame_analysis import FrameDiffSeries, background_fd, compute_series
 from .freeze_detection import DetectorConfig, FreezeTimeline, detect_freezes
-from .video_io import LumaFrame, VideoSequence
+from .video_io import LumaFrame
 
 # Column order used everywhere a feature matrix or CSV is built.
 FEATURE_NAMES = (
@@ -142,12 +142,17 @@ class VideoAnalysis:
     features: FeatureVector
 
 
-def analyze(source: Union[VideoSequence, Iterable[LumaFrame]],
+def analyze(source: Iterable[LumaFrame],
             config: DetectorConfig | None = None,
             fps: float = 0.0) -> VideoAnalysis:
-    """Full pipeline: differences, detection, features, in one pass."""
-    if isinstance(source, VideoSequence):
-        fps = source.header.fps
+    """Full pipeline: differences, detection, features, in one pass.
+
+    ``source`` is a ``VideoSequence``, a ``Y4MReader`` or any frame
+    iterable; when it carries a ``header``, its frame rate overrides ``fps``.
+    """
+    header = getattr(source, "header", None)
+    if header is not None:
+        fps = header.fps
     series = compute_series(source)
     timeline = detect_freezes(series, config=config, fps=fps)
     return VideoAnalysis(series=series, timeline=timeline,

@@ -1,9 +1,11 @@
 """Frame-difference series, scene-cut flagging, background motion level.
 
 The frame difference between consecutive frames is the mean of the squared
-per-pixel luma change. Squared differences are accumulated in int64 and
-divided once at the end, so results for 8-bit input are bit-exact and
-platform independent.
+per-pixel luma change. The per-pixel change of 8-bit input is taken in
+int16 and its squares are summed by a float64 dot product. Every partial
+sum is an integer below 255^2 * W * H < 2^53, so the sum is exact in any
+order, and the one division at the end rounds as integer arithmetic
+would: results are bit-exact and platform independent.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from typing import TYPE_CHECKING, Iterable
 import numpy as np
 
 from .errors import ShapeError, TooFewFrames
-from .video_io import LumaFrame, VideoSequence, frames_of
+from .video_io import LumaFrame
 
 if TYPE_CHECKING:
     from .freeze_detection import FreezeTimeline
@@ -58,8 +60,8 @@ def frame_diff(a: LumaFrame, b: LumaFrame) -> float:
         raise ShapeError(
             f"frame sizes differ: {a.width}x{a.height} vs {b.width}x{b.height}"
         )
-    diff = b.samples.astype(np.int64) - a.samples.astype(np.int64)
-    return int(np.sum(diff * diff)) / diff.size
+    d = (b.samples.astype(np.int16) - a.samples).ravel().astype(np.float64)
+    return float(d @ d) / d.size
 
 
 def detect_scene_cuts(values: np.ndarray) -> np.ndarray:
@@ -78,14 +80,14 @@ def detect_scene_cuts(values: np.ndarray) -> np.ndarray:
     return flags
 
 
-def compute_series(source: VideoSequence | Iterable[LumaFrame]) -> FrameDiffSeries:
-    """Frame-difference series for a sequence or a streamed frame iterator.
+def compute_series(source: Iterable[LumaFrame]) -> FrameDiffSeries:
+    """Frame-difference series for a sequence or a streamed frame source.
 
-    Consuming an iterator keeps only the current frame pair in memory.
+    Consuming a reader keeps only the current frame pair in memory.
     """
     values: list[float] = []
     prev: LumaFrame | None = None
-    for frame in frames_of(source):
+    for frame in source:
         if prev is not None:
             values.append(frame_diff(prev, frame))
         prev = frame

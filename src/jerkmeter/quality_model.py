@@ -3,8 +3,8 @@
 The model owns everything needed to turn a FeatureVector into a score:
 which features it reads and in what order, the z-score statistics to
 normalize them with, and the network weights. Hidden nodes are sigmoid,
-input and output are linear. DMOS here follows the difference
-convention MOS(degraded) - MOS(source) + 5, so higher is better.
+input and output are linear. The output is a predicted DMOS (difference
+mean opinion score): higher means more visible jerkiness, i.e. worse.
 
 A default model ships with the package. Its weights are real, its
 normalization statistics are placeholders (zero mean, unit variance):

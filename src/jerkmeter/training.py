@@ -20,14 +20,14 @@ import itertools
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigError, NumericalFailure
 from .features import FEATURE_NAMES, FeatureVector, analyze
 from .quality_model import QualityModel, forward, sigmoid
-from .video_io import parse_y4m
+from .video_io import Y4MReader
 
 # Reserved namespaces for derived seeds, so fold assignment, per-combination
 # fitting, and the final retrain never share a random stream.
@@ -38,7 +38,9 @@ _NS_FINAL = 2
 
 @dataclass(frozen=True)
 class TrainingSample:
-    features: Union[FeatureVector, Mapping[str, float]]
+    """One annotated clip; ``features`` may be given as a Mapping of the 13 names."""
+
+    features: FeatureVector
     dmos: float
     source_id: str = ""
     sample_id: str = ""
@@ -46,6 +48,9 @@ class TrainingSample:
     def __post_init__(self):
         if not np.isfinite(self.dmos):
             raise ValueError("dmos must be finite")
+        if not isinstance(self.features, FeatureVector):
+            object.__setattr__(self, "features", FeatureVector(
+                **{name: float(self.features[name]) for name in FEATURE_NAMES}))
 
     def feature(self, name: str) -> float:
         return float(self.features[name])
@@ -335,6 +340,14 @@ class SearchResult:
     def best(self) -> SearchEntry:
         return self.ranking[0]
 
+    def ranking_csv(self) -> str:
+        """The ranking as CSV text, best first, with a header row."""
+        rows = ["rank,features,hidden_nodes,cv_error,param_count\n"]
+        rows += [f"{i},{'+'.join(e.features)},{e.hidden_nodes},"
+                 f"{e.cv_error!r},{e.param_count}\n"
+                 for i, e in enumerate(self.ranking, start=1)]
+        return "".join(rows)
+
 
 def enumerate_combinations(config: SearchConfig,
                            names: Sequence[str] = FEATURE_NAMES
@@ -447,9 +460,8 @@ def load_samples_csv(path: str | os.PathLike,
                         f"row {row_num}: only .y4m paths are supported in CSV")
                 full = clip if os.path.isabs(clip) else os.path.join(base_dir, clip)
                 with open(full, "rb") as video:
-                    seq = parse_y4m(video)
-                features: Union[FeatureVector, dict] = analyze(
-                    seq, config=detector_config).features
+                    features = analyze(Y4MReader(video),
+                                       config=detector_config).features
             else:
                 try:
                     features = {name: float(row[name]) for name in FEATURE_NAMES}

@@ -1,15 +1,17 @@
 """Y4M container and headerless planar YUV reading/writing.
 
-Only 8-bit planar formats are handled. Chroma planes are read and carried
-along so files survive a parse/write round trip byte for byte, but all
-analysis downstream looks at the luma plane only.
+Only 8-bit planar formats are handled. One reader, ``Y4MReader``, serves
+both containers and streams frame by frame; ``parse_y4m`` and
+``parse_raw_yuv`` materialize its output. Chroma planes are read and
+carried along so files survive a parse/write round trip byte for byte,
+but all analysis downstream looks at the luma plane only.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import BinaryIO, Iterable, Iterator
+from typing import BinaryIO, Iterator
 
 import numpy as np
 
@@ -22,6 +24,8 @@ from .errors import (
 
 Y4M_SIGNATURE = b"YUV4MPEG2"
 _MAX_HEADER_LINE = 4096
+# Largest single read of frame payload; bounds what a lying header can cost.
+_READ_CHUNK = 1 << 24
 
 
 class ChromaFormat(enum.Enum):
@@ -139,9 +143,22 @@ class VideoSequence:
         plane = bytes([chroma_fill]) * header.chroma_size
         return cls(header=header, frames=list(frames), chroma=[plane] * len(frames))
 
+    @classmethod
+    def from_reader(cls, reader: "Y4MReader") -> "VideoSequence":
+        """Read every remaining frame of ``reader``, chroma included."""
+        frames: list[LumaFrame] = []
+        chroma: list[bytes] = []
+        while (nxt := reader.read_frame()) is not None:
+            frames.append(nxt[0])
+            chroma.append(nxt[1])
+        return cls(header=reader.header, frames=frames, chroma=chroma)
+
     @property
     def frame_count(self) -> int:
         return len(self.frames)
+
+    def __iter__(self) -> Iterator[LumaFrame]:
+        return iter(self.frames)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, VideoSequence):
@@ -164,46 +181,36 @@ def _parse_ratio(text: str, pos: int, what: str) -> tuple[int, int]:
 
 
 class Y4MReader:
-    """Streaming Y4M reader: frames come out one at a time, chroma discarded.
+    """Streaming frame reader: frames come out one at a time.
 
-    Iterating holds O(1) frames in memory, which is what the analysis
-    pipeline needs for long clips.
+    Reads Y4M when ``header`` is None, otherwise headerless planar YUV of
+    the given geometry. Iterating yields luma only and holds O(1) frames in
+    memory, which is what the analysis pipeline needs for long clips.
     """
 
-    def __init__(self, stream: BinaryIO):
+    def __init__(self, stream: BinaryIO, header: VideoHeader | None = None):
         self._stream = stream
         self._pos = 0
         self._index = 0
-        self.header = self._parse_header()
+        self._raw = header is not None
+        self.header = header if header is not None else self._parse_header()
 
-    def _read_line(self) -> bytes:
+    def _read_line(self) -> bytes | None:
+        """The next line without its newline, or None at end of stream."""
         start = self._pos
-        buf = bytearray()
-        while len(buf) < _MAX_HEADER_LINE:
-            b = self._stream.read(1)
-            if not b:
-                raise ParseError(start + len(buf), "unterminated header line")
-            self._pos += 1
-            if b == b"\n":
-                return bytes(buf)
-            buf += b
-        raise ParseError(start, "header line too long")
-
-    def _read_exact(self, n: int) -> bytes:
-        chunks = []
-        remaining = n
-        while remaining:
-            chunk = self._stream.read(remaining)
-            if not chunk:
-                break
-            chunks.append(chunk)
-            self._pos += len(chunk)
-            remaining -= len(chunk)
-        return b"".join(chunks)
+        line = self._stream.readline(_MAX_HEADER_LINE)
+        self._pos += len(line)
+        if line.endswith(b"\n"):
+            return line[:-1]
+        if len(line) == _MAX_HEADER_LINE:
+            raise ParseError(start, "header line too long")
+        if line:
+            raise ParseError(self._pos, "unterminated header line")
+        return None
 
     def _parse_header(self) -> VideoHeader:
         line = self._read_line()
-        if not line.startswith(Y4M_SIGNATURE):
+        if line is None or not line.startswith(Y4M_SIGNATURE):
             raise ParseError(0, "missing YUV4MPEG2 signature")
         rest = line[len(Y4M_SIGNATURE):]
         if rest and not rest.startswith(b" "):
@@ -247,20 +254,25 @@ class Y4MReader:
 
     def read_frame(self) -> tuple[LumaFrame, bytes] | None:
         """Next (luma, chroma-bytes) pair, or None at a clean end of stream."""
-        start = self._pos
-        first = self._stream.read(1)
-        if not first:
+        header = self.header
+        if not self._raw:
+            start = self._pos
+            marker = self._read_line()
+            if marker is None:
+                return None
+            if marker.split(b" ", 1)[0] != b"FRAME":
+                raise ParseError(start, f"expected FRAME marker, got {marker[:16]!r}")
+        luma = _read_exact(self._stream, header.luma_size)
+        if self._raw and not luma:
             return None
-        self._pos += 1
-        marker = first + self._read_line()
-        if marker.split(b" ", 1)[0] != b"FRAME":
-            raise ParseError(start, f"expected FRAME marker, got {marker[:16]!r}")
-        luma = self._read_exact(self.header.luma_size)
-        chroma = self._read_exact(self.header.chroma_size)
-        if len(luma) < self.header.luma_size or len(chroma) < self.header.chroma_size:
+        chroma = _read_exact(self._stream, header.chroma_size)
+        self._pos += len(luma) + len(chroma)
+        if len(luma) < header.luma_size or len(chroma) < header.chroma_size:
+            if self._raw:
+                raise TrailingBytes(len(luma) + len(chroma))
             raise TruncatedFrame(self._index)
         self._index += 1
-        return _luma_from_bytes(luma, self.header), chroma
+        return _luma_from_bytes(luma, header), chroma
 
     def __iter__(self) -> Iterator[LumaFrame]:
         while True:
@@ -277,23 +289,19 @@ def _luma_from_bytes(data: bytes, header: VideoHeader) -> LumaFrame:
 
 def parse_y4m(stream: BinaryIO) -> VideoSequence:
     """Materialize a whole Y4M stream, chroma included."""
-    reader = Y4MReader(stream)
-    frames: list[LumaFrame] = []
-    chroma: list[bytes] = []
-    while True:
-        nxt = reader.read_frame()
-        if nxt is None:
-            break
-        frames.append(nxt[0])
-        chroma.append(nxt[1])
-    return VideoSequence(header=reader.header, frames=frames, chroma=chroma)
+    return VideoSequence.from_reader(Y4MReader(stream))
 
 
 def _read_exact(stream: BinaryIO, n: int) -> bytes:
+    """Up to ``n`` bytes, fewer only at end of stream.
+
+    Reads at most ``_READ_CHUNK`` bytes at a time, so a header claiming a
+    larger frame than the file holds costs one chunk, not the claimed size.
+    """
     chunks = []
     remaining = n
     while remaining:
-        chunk = stream.read(remaining)
+        chunk = stream.read(min(remaining, _READ_CHUNK))
         if not chunk:
             break
         chunks.append(chunk)
@@ -302,31 +310,8 @@ def _read_exact(stream: BinaryIO, n: int) -> bytes:
 
 
 def parse_raw_yuv(stream: BinaryIO, header: VideoHeader) -> VideoSequence:
-    """Read headerless planar YUV; the caller supplies geometry."""
-    size = header.frame_size
-    frames: list[LumaFrame] = []
-    chroma: list[bytes] = []
-    while True:
-        payload = _read_exact(stream, size)
-        if not payload:
-            break
-        if len(payload) < size:
-            raise TrailingBytes(len(payload) % size)
-        frames.append(_luma_from_bytes(payload[: header.luma_size], header))
-        chroma.append(payload[header.luma_size:])
-    return VideoSequence(header=header, frames=frames, chroma=chroma)
-
-
-def iter_raw_yuv(stream: BinaryIO, header: VideoHeader) -> Iterator[LumaFrame]:
-    """Streaming variant of parse_raw_yuv, luma only."""
-    size = header.frame_size
-    while True:
-        payload = _read_exact(stream, size)
-        if not payload:
-            return
-        if len(payload) < size:
-            raise TrailingBytes(len(payload) % size)
-        yield _luma_from_bytes(payload[: header.luma_size], header)
+    """Materialize headerless planar YUV; the caller supplies geometry."""
+    return VideoSequence.from_reader(Y4MReader(stream, header))
 
 
 def header_tokens(header: VideoHeader) -> tuple[str, ...]:
@@ -348,10 +333,3 @@ def write_y4m(seq: VideoSequence, sink: BinaryIO) -> None:
         sink.write(b"FRAME\n")
         sink.write(frame.samples.tobytes())
         sink.write(chroma)
-
-
-def frames_of(source: "VideoSequence | Iterable[LumaFrame]") -> Iterable[LumaFrame]:
-    """Accept either a materialized sequence or a plain frame iterable."""
-    if isinstance(source, VideoSequence):
-        return source.frames
-    return source

@@ -151,6 +151,16 @@ class TestRawInput:
         doc = run_json(capsys, ["fd", str(raw), "--size", "4x2", "--json"])
         assert doc["frame_count"] == 4
 
+    def test_score_raw_matches_y4m(self, clip, tmp_path, capsys):
+        with open(clip, "rb") as handle:
+            seq = parse_y4m(handle)
+        raw = tmp_path / "clip.yuv"
+        raw.write_bytes(b"".join(
+            f.samples.tobytes() + c for f, c in zip(seq.frames, seq.chroma)))
+        from_raw = run_json(capsys, ["score", str(raw), "--size", "64x16",
+                                     "--json"])
+        assert from_raw == run_json(capsys, ["score", str(clip), "--json"])
+
     def test_error_names_missing_flag(self, tmp_path, capsys):
         raw = tmp_path / "clip.yuv"
         raw.write_bytes(bytes(96))
@@ -172,6 +182,16 @@ class TestExitCodes:
         bad = tmp_path / "bad.y4m"
         bad.write_bytes(b"not a video")
         assert run(["fd", str(bad)]) == 2
+
+    @pytest.mark.parametrize("name,data,extra", [
+        ("huge.y4m", b"YUV4MPEG2 W60000 H60000 F25:1\nFRAME\n" + bytes(13), []),
+        ("huge.yuv", bytes(50), ["--size", "60000x60000"]),
+    ])
+    def test_header_claiming_more_than_the_file(self, tmp_path, name, data,
+                                                extra):
+        path = tmp_path / name
+        path.write_bytes(data)
+        assert run(["score", str(path), *extra]) == 2
 
     def test_help_exits_zero(self):
         assert run(["--help"]) == 0

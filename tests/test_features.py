@@ -1,3 +1,4 @@
+import io
 import math
 import statistics
 
@@ -8,13 +9,21 @@ from jerkmeter import (
     FEATURE_NAMES,
     FrameDiffSeries,
     FreezeEvent,
+    FreezeKind,
+    FreezePlan,
     FreezeTimeline,
     ShapeError,
+    Y4MReader,
+    analyze,
     extract,
+    gradient_video,
+    inject,
+    parse_raw_yuv,
+    parse_y4m,
 )
 from jerkmeter.features import content_features, freeze_pattern_features
 
-from conftest import frame
+from conftest import frame, y4m_bytes
 
 
 def make_series(values, cuts=()):
@@ -210,10 +219,43 @@ class TestScaling:
                 frames.append(frame(np.full((4, 4), level, dtype=np.uint8)))
             return frames
 
-        from jerkmeter import analyze
         small = analyze(clip(2)).features
         big = analyze(clip(4)).features
         assert small.NumFz == big.NumFz
         for name in ("AvgFzFD", "MaxFzFD", "AvgBgFD"):
             assert big[name] == 4.0 * small[name]
         assert math.isclose(big.rFD, small.rFD, rel_tol=1e-12)
+
+
+class TestAnalyzeSources:
+    """Streaming a reader and materializing a sequence give the same analysis."""
+
+    @pytest.fixture
+    def degraded(self):
+        base = gradient_video(frame_count=60, width=16, height=8,
+                              fps=(30000, 1001), noise=0.02, seed=3)
+        plan = FreezePlan(kind=FreezeKind.LOSS, events=[(10, 4), (30, 6)])
+        return inject(base, plan)[0]
+
+    def assert_same(self, streamed, materialized, fps):
+        assert streamed.series.values.tobytes() == materialized.series.values.tobytes()
+        assert np.array_equal(streamed.series.scene_cut_flags,
+                              materialized.series.scene_cut_flags)
+        assert streamed.features == materialized.features
+        assert streamed.timeline.events == materialized.timeline.events
+        assert len(streamed.timeline.events) == 2
+        assert streamed.timeline.fps == materialized.timeline.fps == fps
+
+    def test_y4m(self, degraded):
+        data = y4m_bytes(degraded)
+        self.assert_same(analyze(Y4MReader(io.BytesIO(data))),
+                         analyze(parse_y4m(io.BytesIO(data))),
+                         degraded.header.fps)
+
+    def test_raw(self, degraded):
+        header = degraded.header
+        data = b"".join(f.samples.tobytes() + c
+                        for f, c in zip(degraded.frames, degraded.chroma))
+        self.assert_same(analyze(Y4MReader(io.BytesIO(data), header)),
+                         analyze(parse_raw_yuv(io.BytesIO(data), header)),
+                         header.fps)

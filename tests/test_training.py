@@ -9,11 +9,14 @@ from hypothesis import strategies as st
 from jerkmeter import (
     FEATURE_NAMES,
     ConfigError,
+    FeatureVector,
     LMConfig,
     SearchConfig,
+    SearchResult,
     TrainingSample,
     capacity_ok,
     cross_validate,
+    default_model,
     exhaustive_search,
     load_samples_csv,
     save_model,
@@ -23,6 +26,7 @@ from jerkmeter import training
 from jerkmeter.quality_model import forward, sigmoid
 from jerkmeter.training import (
     LMFit,
+    SearchEntry,
     design_matrix,
     derived_seed,
     enumerate_combinations,
@@ -80,6 +84,11 @@ class TestConfigs:
     def test_sample_dmos_must_be_finite(self):
         with pytest.raises(ValueError):
             TrainingSample(features={}, dmos=float("nan"))
+
+    def test_sample_features_become_a_feature_vector(self):
+        values = {name: float(i) for i, name in enumerate(FEATURE_NAMES)}
+        sample = TrainingSample(features=values, dmos=1.0)
+        assert sample.features == FeatureVector(**values)
 
 
 class TestTrainLm:
@@ -303,6 +312,16 @@ class TestExhaustiveSearch:
         assert result.model.meta["normalization"] == "fitted"
         assert result.model.meta["samples"] == 10
         assert result.model.meta["cv_error"] == result.best.cv_error
+
+    def test_ranking_csv_text(self):
+        result = SearchResult(ranking=(
+            SearchEntry(("NumFz", "rFD"), 2, 0.125, 9),
+            SearchEntry(("AvgFzDur",), 1, 0.1 + 0.2, 4),
+        ), model=default_model())
+        assert result.ranking_csv() == (
+            "rank,features,hidden_nodes,cv_error,param_count\n"
+            "1,NumFz+rFD,2,0.125,9\n"
+            "2,AvgFzDur,1,0.30000000000000004,4\n")
 
 
 class TestNormalizationHelpers:

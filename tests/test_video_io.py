@@ -21,7 +21,8 @@ from jerkmeter import (
     parse_y4m,
     write_y4m,
 )
-from jerkmeter.video_io import header_tokens, iter_raw_yuv
+from jerkmeter import video_io
+from jerkmeter.video_io import header_tokens
 
 from conftest import frame, make_sequence, random_frames, y4m_bytes
 
@@ -86,6 +87,11 @@ class TestHeaderParsing:
     def test_unterminated_header(self):
         with pytest.raises(ParseError):
             parse_y4m(io.BytesIO(b"YUV4MPEG2 W4 H2 F25:1"))
+
+    def test_overlong_header(self):
+        with pytest.raises(ParseError) as exc:
+            parse_y4m(io.BytesIO(simple_y4m(b"W4 H2 F25:1 X" + b"y" * 5000)))
+        assert exc.value.position == 0
 
 
 class TestFramePayloads:
@@ -217,10 +223,19 @@ class TestRawYuv:
 
     def test_iter_matches_parse(self, rng):
         header = VideoHeader(width=4, height=2, fps_num=25, fps_den=1)
-        payload = bytes(header.frame_size * 3)
+        payload = rng.bytes(header.frame_size * 3)
         materialized = parse_raw_yuv(io.BytesIO(payload), header)
-        streamed = list(iter_raw_yuv(io.BytesIO(payload), header))
-        assert streamed == materialized.frames
+        reader = Y4MReader(io.BytesIO(payload), header)
+        assert reader.header is header
+        assert list(reader) == materialized.frames
+        assert len(materialized.frames) == 3
+
+    def test_mono_has_empty_chroma(self, rng):
+        header = VideoHeader(width=3, height=3, fps_num=25, fps_den=1,
+                             chroma=ChromaFormat.MONO)
+        seq = parse_raw_yuv(io.BytesIO(rng.bytes(9 * 2)), header)
+        assert seq.frame_count == 2
+        assert seq.chroma == [b"", b""]
 
 
 class TestStreaming:
@@ -241,12 +256,54 @@ class TestStreaming:
         assert sum(1 for r in refs if r() is not None) <= 1
 
 
+class _RecordingStream(io.BytesIO):
+    """A BytesIO that remembers the largest read(n) it was asked for."""
+
+    largest = 0
+
+    def read(self, n=-1):
+        self.largest = max(self.largest, n)
+        return super().read(n)
+
+
+class TestBoundedReads:
+    # 60000x60000 claims a 5.4 GB frame; the stream holds a few bytes.
+    HUGE = VideoHeader(width=60000, height=60000, fps_num=25, fps_den=1)
+
+    def test_lying_y4m_header_is_truncated_frame(self):
+        stream = _RecordingStream(
+            b"YUV4MPEG2 W60000 H60000 F25:1\nFRAME\n" + bytes(13))
+        with pytest.raises(TruncatedFrame) as exc:
+            parse_y4m(stream)
+        assert exc.value.frame_index == 0
+        assert 0 < stream.largest <= video_io._READ_CHUNK
+
+    def test_lying_raw_geometry_is_trailing_bytes(self):
+        stream = _RecordingStream(bytes(13))
+        with pytest.raises(TrailingBytes) as exc:
+            list(Y4MReader(stream, self.HUGE))
+        assert exc.value.remainder == 13
+        assert 0 < stream.largest <= video_io._READ_CHUNK
+
+    def test_payload_spanning_many_chunks(self, rng, monkeypatch):
+        seq = make_sequence(rng, count=4, width=8, height=6)
+        data = y4m_bytes(seq)
+        monkeypatch.setattr(video_io, "_READ_CHUNK", 5)
+        stream = _RecordingStream(data)
+        assert parse_y4m(stream) == seq
+        assert stream.largest == 5
+
+
 class TestVideoSequence:
     def test_parallel_chroma_enforced(self, rng):
         header = VideoHeader(width=4, height=2, fps_num=25, fps_den=1)
         with pytest.raises(ValueError):
             VideoSequence(header=header, frames=random_frames(rng, 2, 4, 2),
                           chroma=[b""])
+
+    def test_iterates_luma_frames(self, rng):
+        seq = make_sequence(rng, count=3)
+        assert list(seq) == seq.frames
 
     def test_from_luma_fills_chroma(self, rng):
         header = VideoHeader(width=4, height=2, fps_num=25, fps_den=1)
