@@ -83,7 +83,6 @@ def main(argv=None):
     parser.add_argument("--hidden", default="1,2")
     parser.add_argument("--folds", type=int, default=5)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--threads", type=int, default=None)
     parser.add_argument("--out-dir", default="out")
     args = parser.parse_args(argv)
 
@@ -99,7 +98,7 @@ def main(argv=None):
     )
     print(f"searching {len(config.subset_sizes)} subset sizes x "
           f"{len(config.hidden_range)} structures, {config.folds}-fold CV ...")
-    result = exhaustive_search(samples, config, max_workers=args.threads)
+    result = exhaustive_search(samples, config)
 
     print("\ntop structures by cross-validation error:")
     for entry in result.ranking[:5]:

@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import os
 import sys
 from typing import Iterator
 
@@ -309,7 +308,7 @@ def _cmd_train(args) -> int:
         lm=lm,
         group_by_source=args.group_by_source,
     )
-    result = exhaustive_search(samples, config, max_workers=args.threads)
+    result = exhaustive_search(samples, config)
     with open(args.out, "wb") as handle:
         handle.write(save_model(result.model))
     if args.ranking:
@@ -369,8 +368,7 @@ def _build_parser() -> _Parser:
     common.add_argument("--seed", type=int, default=0,
                         help="seed for every random choice (default 0)")
     common.add_argument("--threads", type=int,
-                        default=max(1, os.cpu_count() or 1),
-                        help="worker bound for parallel work")
+                        help="accepted for compatibility; has no effect")
     common.add_argument("--json", action="store_true",
                         help="machine-readable JSON on stdout")
 

@@ -29,13 +29,11 @@ _DEFAULT_MODEL_RESOURCE = "default_model.json"
 
 
 def sigmoid(t: np.ndarray | float) -> np.ndarray | float:
-    """Logistic function, stable for arguments of either sign up to ~1e3."""
+    """Logistic function, stable for any argument: exp only sees -|t|."""
     t = np.asarray(t, dtype=np.float64)
-    out = np.empty_like(t)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    et = np.exp(t[~pos])
-    out[~pos] = et / (1.0 + et)
+    e = np.exp(-np.abs(t))
+    d = 1.0 + e
+    out = np.where(t >= 0, 1.0 / d, e / d)
     if out.ndim == 0:
         return float(out)
     return out

@@ -7,18 +7,17 @@ hidden nodes) is chosen by exhaustive enumeration under a capacity
 bound: the weight count M(N+1)+M+1 must stay strictly below the
 training sample count, or the net can memorize the folds.
 
-Everything downstream of the rng seed is deterministic, including under
-parallel evaluation: fold assignment is derived from the seed alone,
-each (subset, M) combination gets its own derived seed, and results are
-reduced in enumeration order.
+Everything downstream of the rng seed is deterministic: fold assignment
+is derived from the seed alone, each (subset, M) combination gets its
+own derived seed, and structures are evaluated in enumeration order.
 """
 
 from __future__ import annotations
 
 import csv
 import itertools
+import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -117,7 +116,7 @@ def derived_seed(base: int, *path: int) -> np.random.SeedSequence:
 
 def design_matrix(samples: Sequence[TrainingSample],
                   names: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    x = np.array([[s.feature(name) for name in names] for s in samples],
+    x = np.array([s.features.as_array(names) for s in samples],
                  dtype=np.float64)
     y = np.array([s.dmos for s in samples], dtype=np.float64)
     return x, y
@@ -146,16 +145,23 @@ def _unpack(w: np.ndarray, m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return w[: m * (n + 1)].reshape(m, n + 1), w[m * (n + 1):]
 
 
-def _jacobian(x1: np.ndarray, h: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _jacobian(x1: np.ndarray, h: np.ndarray, v: np.ndarray,
+              out: np.ndarray | None = None) -> np.ndarray:
     """d(prediction)/d(weights) rows, one per sample.
 
     Column layout matches the packed weight vector: hidden weights row by
     row (bias last in each row), then output weights, then output bias.
+    A given `out` must hold ones in its last column; it is filled and returned.
     """
+    n_samples, k = x1.shape
+    m = h.shape[1]
+    if out is None:
+        out = np.ones((n_samples, m * k + m + 1))
     s = h * (1.0 - h) * v  # (n_samples, m)
-    j_hidden = np.einsum("nm,nj->nmj", s, x1).reshape(x1.shape[0], -1)
-    ones = np.ones((x1.shape[0], 1))
-    return np.hstack([j_hidden, h, ones])
+    np.multiply(s[:, :, None], x1[:, None, :],
+                out=out[:, : m * k].reshape(n_samples, m, k, copy=False))
+    out[:, m * k: -1] = h
+    return out
 
 # Damping this large with still no acceptable step means the fit is stuck
 # at numerical resolution; treat as converged rather than looping. The floor
@@ -170,6 +176,7 @@ def _lm_single(x: np.ndarray, y: np.ndarray, m: int, cfg: LMConfig,
     p = param_count(m, n)
     w = rng.uniform(-cfg.init_scale, cfg.init_scale, size=p)
     x1 = np.hstack([x, np.ones((n_samples, 1))])
+    jac = np.ones((n_samples, p))
 
     def residuals(wvec):
         hidden, out = _unpack(wvec, m, n)
@@ -183,19 +190,25 @@ def _lm_single(x: np.ndarray, y: np.ndarray, m: int, cfg: LMConfig,
     lam = cfg.lambda_init
     iters = 0
     for iters in range(1, cfg.max_iters + 1):
-        jac = _jacobian(x1, h, v)
+        _jacobian(x1, h, v, out=jac)
         grad = jac.T @ r
-        if np.max(np.abs(grad)) < cfg.tol_grad:
+        if abs(grad).max() < cfg.tol_grad:
             break
         jtj = jac.T @ jac
-        if not np.all(np.isfinite(jtj)):
+        if not np.isfinite(jtj).all():
             raise NumericalFailure("non-finite normal equations")
+        # Damping changes only the diagonal, and solve() does not write to
+        # its input, so each trial rewrites the diagonal of jtj in place.
+        jtj_diag = jtj.diagonal().copy()
+        damped_diag = jtj.reshape(-1, copy=False)[:: p + 1]
+        neg_grad = -grad
         accepted = False
         small_step = False
         while lam <= _LAMBDA_MAX:
+            np.add(jtj_diag, lam, out=damped_diag)
             try:
-                delta = np.linalg.solve(jtj + lam * np.eye(p), -grad)
-                solvable = bool(np.all(np.isfinite(delta)))
+                delta = np.linalg.solve(jtj, neg_grad)
+                solvable = bool(np.isfinite(delta).all())
             except np.linalg.LinAlgError:
                 solvable = False
             if not solvable:
@@ -209,13 +222,13 @@ def _lm_single(x: np.ndarray, y: np.ndarray, m: int, cfg: LMConfig,
             w_try = w + delta
             r_try, h_try, v_try = residuals(w_try)
             sse_try = float(r_try @ r_try)
-            if np.isfinite(sse_try) and sse_try < sse:
+            if math.isfinite(sse_try) and sse_try < sse:
                 w, r, h, v, sse = w_try, r_try, h_try, v_try, sse_try
                 history.append(sse / n_samples)
                 lam = max(lam * cfg.lambda_down, _LAMBDA_MIN)
                 accepted = True
-                small_step = float(np.linalg.norm(delta)) < cfg.tol_step * (
-                    float(np.linalg.norm(w)) + cfg.tol_step)
+                small_step = math.sqrt(delta @ delta) < cfg.tol_step * (
+                    math.sqrt(w @ w) + cfg.tol_step)
                 break
             lam *= cfg.lambda_up
         if not accepted or small_step:
@@ -363,8 +376,7 @@ def enumerate_combinations(config: SearchConfig,
 
 
 def exhaustive_search(samples: Sequence[TrainingSample],
-                      config: SearchConfig,
-                      max_workers: int | None = None) -> SearchResult:
+                      config: SearchConfig) -> SearchResult:
     """Evaluate every admissible structure by CV; retrain the winner on all data."""
     if len(samples) < config.folds:
         raise ConfigError(
@@ -378,17 +390,9 @@ def exhaustive_search(samples: Sequence[TrainingSample],
         derived_seed(config.rng_seed, _NS_FOLDS),
         groups=[s.source_id for s in samples] if config.group_by_source else None,
     )
-
-    def evaluate(index: int) -> float:
-        subset, m = combos[index]
-        return cross_validate(samples, subset, m, config, folds=folds,
-                              seed=derived_seed(config.rng_seed, _NS_COMBO, index))
-
-    if max_workers is not None and max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            errors = list(pool.map(evaluate, range(len(combos))))
-    else:
-        errors = [evaluate(i) for i in range(len(combos))]
+    errors = [cross_validate(samples, subset, m, config, folds=folds,
+                             seed=derived_seed(config.rng_seed, _NS_COMBO, i))
+              for i, (subset, m) in enumerate(combos)]
 
     order = sorted(range(len(combos)), key=lambda i: (errors[i], i))
     ranking = tuple(

@@ -352,8 +352,7 @@ def test_c10_search_finds_planted_pair():
         config = SearchConfig(hidden_range=(1,), subset_sizes=(2,), folds=3,
                               rng_seed=seed,
                               lm=LMConfig(max_iters=30, restarts=1))
-        result = exhaustive_search(planted_samples(rng), config,
-                                   max_workers=os.cpu_count())
+        result = exhaustive_search(planted_samples(rng), config)
         counts_ok = counts_ok and len(result.ranking) == expected_count
         if set(result.best.features) == planted:
             wins += 1

@@ -64,6 +64,36 @@ class TestSigmoid:
         out = sigmoid(np.array([0.0, 500.0, -500.0]))
         assert out[0] == 0.5 and out.shape == (3,)
 
+    @staticmethod
+    def piecewise(t):
+        """Reference: the two formulas applied through boolean masks."""
+        t = np.asarray(t, dtype=np.float64)
+        out = np.empty_like(t)
+        pos = t >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
+        et = np.exp(t[~pos])
+        out[~pos] = et / (1.0 + et)
+        return out
+
+    def test_matches_piecewise_formulas_bit_for_bit(self):
+        mags = [0.0, 1e-300, 1.0, 700.0, 1e3, 1e308, np.inf]
+        t = np.array(mags + [-v for v in mags])
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            got = sigmoid(t)
+        assert got.tobytes() == self.piecewise(t).tobytes()
+        for v in t:
+            assert np.float64(sigmoid(v)).tobytes() == self.piecewise(v).tobytes()
+
+    def test_nan_stays_nan(self):
+        assert math.isnan(sigmoid(float("nan")))
+        out = sigmoid(np.array([np.nan, 1.0]))
+        assert np.isnan(out[0]) and out[1] == self.piecewise(1.0)
+
+    def test_zero_d_input_gives_float(self):
+        assert type(sigmoid(2.0)) is float
+        assert type(sigmoid(np.float64(-2.0))) is float
+        assert type(sigmoid(np.array(0.5))) is float
+
 
 class TestPredict:
     def test_zero_output_weights_give_bias(self):

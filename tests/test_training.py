@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -11,6 +12,7 @@ from jerkmeter import (
     ConfigError,
     FeatureVector,
     LMConfig,
+    NumericalFailure,
     SearchConfig,
     SearchResult,
     TrainingSample,
@@ -140,7 +142,13 @@ class TestTrainLm:
 
         hidden = w[: m * (n + 1)].reshape(m, n + 1)
         h = sigmoid(x1 @ hidden.T)
-        jac = training._jacobian(x1, h, w[m * (n + 1): -1])
+        v = w[m * (n + 1): -1]
+        # The buffer LM fills in place: bias column preset, the rest stale.
+        buf = np.full((n_samples, w.size), np.nan)
+        buf[:, -1] = 1.0
+        jac = training._jacobian(x1, h, v, out=buf)
+        assert jac is buf
+        assert np.array_equal(jac, training._jacobian(x1, h, v))
         step = 1e-6
         for p in range(w.size):
             bump = np.zeros_like(w)
@@ -148,6 +156,13 @@ class TestTrainLm:
             numeric = (predictions(w + bump) - predictions(w - bump)) / (2 * step)
             denom = np.maximum(np.abs(numeric), 1.0)
             assert np.max(np.abs(jac[:, p] - numeric) / denom) < 1e-5
+
+    def test_non_finite_design_row_raises(self, rng):
+        x = rng.normal(size=(12, 2))
+        x[5, 1] = np.inf
+        y = rng.normal(size=12)
+        with np.errstate(invalid="ignore"), pytest.raises(NumericalFailure):
+            train_lm(x, y, m=1, cfg=FAST_LM, seed=0)
 
     def test_shape_validation(self):
         with pytest.raises(ConfigError):
@@ -293,16 +308,35 @@ class TestExhaustiveSearch:
         assert result.model.calibrated
         assert len(result.ranking) == math.comb(13, 2)
 
-    def test_ranking_sorted_and_deterministic_across_workers(self, rng):
+    def test_ranking_sorted_and_deterministic(self, rng):
         samples = make_samples(rng, 14, lambda f: f["NumFz"] + 0.2 * f["rFD"])
         cfg = SearchConfig(hidden_range=(1,), subset_sizes=(1,), folds=2,
                            rng_seed=3, lm=LMConfig(max_iters=25, restarts=1))
-        serial = exhaustive_search(samples, cfg, max_workers=1)
-        threaded = exhaustive_search(samples, cfg, max_workers=4)
-        assert serial.ranking == threaded.ranking
-        assert save_model(serial.model) == save_model(threaded.model)
-        errors = [e.cv_error for e in serial.ranking]
+        first = exhaustive_search(samples, cfg)
+        second = exhaustive_search(samples, cfg)
+        assert first.ranking == second.ranking
+        assert save_model(first.model) == save_model(second.model)
+        errors = [e.cv_error for e in first.ranking]
         assert errors == sorted(errors)
+
+    def test_golden_bytes(self):
+        """A fixed search's model and ranking bytes, pinned for LM rewrites.
+
+        Any change to the LM arithmetic moves these hashes. They were taken
+        with numpy 2.4.6 on x86-64; a BLAS that rounds differently moves
+        them too.
+        """
+        samples = make_samples(
+            np.random.default_rng(20140), 40,
+            lambda f: np.tanh(f["NumFz"] - 1.5) + 0.3 * f["rFD"], noise=0.05)
+        cfg = SearchConfig(hidden_range=(1, 2), subset_sizes=(1, 12), folds=4,
+                           rng_seed=7, lm=LMConfig(max_iters=20, restarts=2))
+        result = exhaustive_search(samples, cfg)
+        assert len(result.ranking) == 2 * (13 + 13)
+        assert hashlib.sha256(save_model(result.model)).hexdigest() == (
+            "c4a05ac6b6e16f9cf2deec428ccd41309c265d940596632c8880ead44f613915")
+        assert hashlib.sha256(result.ranking_csv().encode()).hexdigest() == (
+            "ebe604ba6be8b3bf4456403e8734b70b85e56860b2871667fd96a03afe3e499a")
 
     def test_model_meta_records_fit(self, rng):
         samples = make_samples(rng, 10, lambda f: f["rLenFz"])
