@@ -1,10 +1,10 @@
 """Frame-difference series, scene-cut flagging, background motion level.
 
 The frame difference between consecutive frames is the mean of the squared
-per-pixel luma change. The per-pixel change of 8-bit input is taken in
-int16 and its squares are summed by a float64 dot product. Every partial
-sum is an integer below 255^2 * W * H < 2^53, so the sum is exact in any
-order, and the one division at the end rounds as integer arithmetic
+per-pixel luma change. The change of 8-bit input is taken as max - min in
+uint8, squared into uint16 (at most 255^2) and summed in uint64. The sum is
+an exact integer below 255^2 * W * H < 2^53, so it converts to float64
+exactly and the one division at the end rounds as integer arithmetic
 would: results are bit-exact and platform independent.
 """
 
@@ -24,6 +24,8 @@ if TYPE_CHECKING:
 # A transition must exceed this multiple of the recent mean to count as a cut.
 SCENE_CUT_FACTOR = 5.0
 SCENE_CUT_HISTORY = 5
+# compute_series holds as many frames as fit in this many bytes, at least two.
+_BLOCK_BYTES = 1 << 16
 
 
 @dataclass(eq=False)
@@ -56,12 +58,14 @@ class FrameDiffSeries:
 
 def frame_diff(a: LumaFrame, b: LumaFrame) -> float:
     """Mean squared luma difference between two equally sized frames."""
-    if a.width != b.width or a.height != b.height:
-        raise ShapeError(
-            f"frame sizes differ: {a.width}x{a.height} vs {b.width}x{b.height}"
-        )
-    d = (b.samples.astype(np.int16) - a.samples).ravel().astype(np.float64)
-    return float(d @ d) / d.size
+    return float(compute_series((a, b)).values[0])
+
+
+def _fd_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Mean squared difference between matching rows of two (pairs, pixels) blocks."""
+    d = np.maximum(a, b)
+    d -= np.minimum(a, b)
+    return np.square(d, dtype=np.uint16).sum(axis=1, dtype=np.uint64) / a.shape[1]
 
 
 def detect_scene_cuts(values: np.ndarray) -> np.ndarray:
@@ -73,28 +77,52 @@ def detect_scene_cuts(values: np.ndarray) -> np.ndarray:
     """
     values = np.asarray(values, dtype=np.float64)
     flags = np.zeros(len(values), dtype=bool)
-    for i in range(SCENE_CUT_HISTORY, len(values)):
-        window = values[i - SCENE_CUT_HISTORY: i]
-        threshold = SCENE_CUT_FACTOR * (float(np.sum(window)) / SCENE_CUT_HISTORY)
-        flags[i] = values[i] > threshold
+    n = len(values) - SCENE_CUT_HISTORY
+    if n > 0:
+        # Window sums added left to right, the order np.sum uses for five
+        # elements, so every threshold matches the per-window sum bit for bit.
+        thresholds = values[:n].copy()
+        for k in range(1, SCENE_CUT_HISTORY):
+            thresholds += values[k: k + n]
+        thresholds /= SCENE_CUT_HISTORY
+        thresholds *= SCENE_CUT_FACTOR
+        flags[SCENE_CUT_HISTORY:] = values[SCENE_CUT_HISTORY:] > thresholds
     return flags
 
 
 def compute_series(source: Iterable[LumaFrame]) -> FrameDiffSeries:
     """Frame-difference series for a sequence or a streamed frame source.
 
-    Consuming a reader keeps only the current frame pair in memory.
+    Frames are copied into a block of rows, one kernel call per block; the
+    block's last frame is carried into the next block's first row.
     """
-    values: list[float] = []
-    prev: LumaFrame | None = None
-    for frame in source:
-        if prev is not None:
-            values.append(frame_diff(prev, frame))
-        prev = frame
-    if not values:
+    frames = iter(source)
+    first = next(frames, None)
+    if first is None:
         raise TooFewFrames("need at least two frames to form a difference")
-    arr = np.array(values, dtype=np.float64)
-    return FrameDiffSeries(values=arr, scene_cut_flags=detect_scene_cuts(arr))
+    width, height = first.width, first.height
+    capacity = max(2, _BLOCK_BYTES // (width * height))
+    block = np.empty((capacity, height, width), dtype=np.uint8)
+    rows = block.reshape(capacity, -1)
+    block[0] = first.samples
+    del first  # the block holds its copy; do not keep the frame alive
+    parts = []
+    filled = 1
+    for frame in frames:
+        if frame.width != width or frame.height != height:
+            raise ShapeError(
+                f"frame sizes differ: {width}x{height} vs {frame.width}x{frame.height}")
+        block[filled] = frame.samples
+        filled += 1
+        if filled == capacity:
+            parts.append(_fd_pairs(rows[:-1], rows[1:]))
+            block[0] = block[-1]
+            filled = 1
+    parts.append(_fd_pairs(rows[:filled - 1], rows[1:filled]))
+    values = np.concatenate(parts)
+    if not values.size:
+        raise TooFewFrames("need at least two frames to form a difference")
+    return FrameDiffSeries(values=values, scene_cut_flags=detect_scene_cuts(values))
 
 
 def background_fd(series: FrameDiffSeries, timeline: "FreezeTimeline") -> tuple[float, bool]:

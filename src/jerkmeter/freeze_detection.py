@@ -109,21 +109,13 @@ def detect_freezes(series: FrameDiffSeries,
     threshold = freeze_threshold(series, config)
     frozen = (series.values <= threshold) & ~series.scene_cut_flags
 
-    events: list[FreezeEvent] = []
-    run_start = None
-    for i, flag in enumerate(frozen):
-        if flag and run_start is None:
-            run_start = i + 1  # transition i freezes frame i+1
-        elif not flag and run_start is not None:
-            duration = (i + 1) - run_start
-            if duration >= MIN_EVENT_FRAMES:
-                events.append(FreezeEvent(run_start, duration))
-            run_start = None
-    if run_start is not None:
-        duration = series.frame_count - run_start
-        if duration >= MIN_EVENT_FRAMES:
-            events.append(FreezeEvent(run_start, duration))
-
+    # Runs of frozen transitions [start, end); transition i freezes frame i+1.
+    edges = np.flatnonzero(np.diff(np.concatenate(([False], frozen, [False]))))
+    events = [
+        FreezeEvent(start + 1, end - start)
+        for start, end in zip(edges[0::2].tolist(), edges[1::2].tolist())
+        if end - start >= MIN_EVENT_FRAMES
+    ]
     return FreezeTimeline(events=events, frame_count=series.frame_count, fps=fps)
 
 

@@ -194,11 +194,11 @@ class Y4MReader:
         self._index = 0
         self._raw = header is not None
         self.header = header if header is not None else self._parse_header()
+        self._plane_sizes = (self.header.luma_size, self.header.chroma_size)
 
-    def _read_line(self) -> bytes | None:
-        """The next line without its newline, or None at end of stream."""
+    def _take_line(self, line: bytes) -> bytes | None:
+        """``line``, just read, without its newline, or None at end of stream."""
         start = self._pos
-        line = self._stream.readline(_MAX_HEADER_LINE)
         self._pos += len(line)
         if line.endswith(b"\n"):
             return line[:-1]
@@ -209,7 +209,7 @@ class Y4MReader:
         return None
 
     def _parse_header(self) -> VideoHeader:
-        line = self._read_line()
+        line = self._take_line(self._stream.readline(_MAX_HEADER_LINE))
         if line is None or not line.startswith(Y4M_SIGNATURE):
             raise ParseError(0, "missing YUV4MPEG2 signature")
         rest = line[len(Y4M_SIGNATURE):]
@@ -254,37 +254,35 @@ class Y4MReader:
 
     def read_frame(self) -> tuple[LumaFrame, bytes] | None:
         """Next (luma, chroma-bytes) pair, or None at a clean end of stream."""
-        header = self.header
         if not self._raw:
             start = self._pos
-            marker = self._read_line()
-            if marker is None:
-                return None
-            if marker.split(b" ", 1)[0] != b"FRAME":
-                raise ParseError(start, f"expected FRAME marker, got {marker[:16]!r}")
-        luma = _read_exact(self._stream, header.luma_size)
+            line = self._stream.readline(_MAX_HEADER_LINE)
+            if line == b"FRAME\n":
+                self._pos += len(line)
+            else:
+                marker = self._take_line(line)
+                if marker is None:
+                    return None
+                if marker.split(b" ", 1)[0] != b"FRAME":
+                    raise ParseError(start, f"expected FRAME marker, got {marker[:16]!r}")
+        luma_size, chroma_size = self._plane_sizes
+        luma = _read_exact(self._stream, luma_size)
         if self._raw and not luma:
             return None
-        chroma = _read_exact(self._stream, header.chroma_size)
+        chroma = _read_exact(self._stream, chroma_size)
         self._pos += len(luma) + len(chroma)
-        if len(luma) < header.luma_size or len(chroma) < header.chroma_size:
+        if len(luma) < luma_size or len(chroma) < chroma_size:
             if self._raw:
                 raise TrailingBytes(len(luma) + len(chroma))
             raise TruncatedFrame(self._index)
         self._index += 1
-        return _luma_from_bytes(luma, header), chroma
+        width, height = self.header.width, self.header.height
+        samples = np.frombuffer(luma, dtype=np.uint8).reshape(height, width)
+        return LumaFrame(width, height, samples), chroma
 
     def __iter__(self) -> Iterator[LumaFrame]:
-        while True:
-            nxt = self.read_frame()
-            if nxt is None:
-                return
+        while (nxt := self.read_frame()) is not None:
             yield nxt[0]
-
-
-def _luma_from_bytes(data: bytes, header: VideoHeader) -> LumaFrame:
-    samples = np.frombuffer(data, dtype=np.uint8).reshape(header.height, header.width)
-    return LumaFrame(width=header.width, height=header.height, samples=samples)
 
 
 def parse_y4m(stream: BinaryIO) -> VideoSequence:
@@ -298,12 +296,13 @@ def _read_exact(stream: BinaryIO, n: int) -> bytes:
     Reads at most ``_READ_CHUNK`` bytes at a time, so a header claiming a
     larger frame than the file holds costs one chunk, not the claimed size.
     """
-    chunks = []
-    remaining = n
-    while remaining:
+    chunk = stream.read(min(n, _READ_CHUNK))
+    if len(chunk) == n:
+        return chunk
+    chunks = [chunk]
+    remaining = n - len(chunk)
+    while remaining and chunk:
         chunk = stream.read(min(remaining, _READ_CHUNK))
-        if not chunk:
-            break
         chunks.append(chunk)
         remaining -= len(chunk)
     return b"".join(chunks)

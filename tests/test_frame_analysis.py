@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,18 +7,23 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from jerkmeter import (
+    ChromaFormat,
     FrameDiffSeries,
     FreezeEvent,
     FreezeTimeline,
     ShapeError,
     TooFewFrames,
+    VideoHeader,
+    VideoSequence,
+    Y4MReader,
     compute_series,
     detect_scene_cuts,
     frame_diff,
 )
+from jerkmeter import frame_analysis
 from jerkmeter.frame_analysis import background_fd
 
-from conftest import frame, random_frames
+from conftest import frame, random_frames, y4m_bytes
 
 luma_arrays = hnp.arrays(np.uint8, hnp.array_shapes(min_dims=2, max_dims=2,
                                                     min_side=1, max_side=16))
@@ -60,6 +67,14 @@ class TestFrameDiff:
         assert frame_diff(a, b) == frame_diff(b, a)
 
 
+def direct_scene_cuts(values):
+    """The scene-cut rule as stated, one np.sum per five-entry window."""
+    flags = np.zeros(len(values), dtype=bool)
+    for i in range(5, len(values)):
+        flags[i] = values[i] > 5.0 * (float(np.sum(values[i - 5:i])) / 5.0)
+    return flags
+
+
 class TestSceneCuts:
     def test_equality_is_not_a_cut(self):
         values = [1, 1, 1, 1, 1, 5]
@@ -98,17 +113,22 @@ class TestSceneCuts:
         # After the spike enters the history, the local mean jumps too.
         assert not flags[7:].any()
 
-    @settings(max_examples=40, deadline=None)
-    @given(hnp.arrays(np.float64, st.integers(0, 40),
-                      elements=st.floats(0, 1e6)))
-    def test_matches_direct_rule(self, values):
+    def test_matches_direct_rule(self):
+        rng = np.random.default_rng(7)
+        for length in range(41):
+            values = rng.uniform(0, 1e6, size=length)
+            assert np.array_equal(detect_scene_cuts(values), direct_scene_cuts(values))
+        # Windows spanning twenty decades, each followed by a value one ulp
+        # below, at and one ulp above its threshold: a window sum taken in
+        # any other order than np.sum's flips some of these flags.
+        windows = 10.0 ** rng.uniform(-3, 17, size=(2000, 5))
+        thresholds = 5.0 * (np.array([float(np.sum(w)) for w in windows]) / 5.0)
+        probes = (np.nextafter(thresholds, -np.inf), thresholds,
+                  np.nextafter(thresholds, np.inf))
+        values = np.concatenate([np.column_stack((windows, p)) for p in probes]).ravel()
         flags = detect_scene_cuts(values)
-        for i in range(len(values)):
-            if i < 5:
-                assert not flags[i]
-            else:
-                expected = values[i] > 5.0 * (float(np.sum(values[i - 5:i])) / 5.0)
-                assert flags[i] == expected
+        assert np.array_equal(flags, direct_scene_cuts(values))
+        assert flags[5::6].tolist() == [False] * 4000 + [True] * 2000
 
 
 class TestComputeSeries:
@@ -128,6 +148,46 @@ class TestComputeSeries:
     def test_single_frame_rejected(self, rng):
         with pytest.raises(TooFewFrames):
             compute_series(random_frames(rng, 1, 4, 4))
+
+    @pytest.mark.parametrize("width,height", [(8, 6), (5, 3), (1, 1)])
+    def test_block_boundaries(self, rng, monkeypatch, width, height):
+        # Four frames per block: the counts below end a block one frame
+        # early, exactly, one frame late and after two full blocks.
+        monkeypatch.setattr(frame_analysis, "_BLOCK_BYTES", 4 * width * height)
+        header = VideoHeader(width=width, height=height, fps_num=25, fps_den=1,
+                             chroma=ChromaFormat.MONO)
+        for count in (2, 3, 4, 5, 9):
+            frames = random_frames(rng, count, width, height)
+            expected = np.array([frame_diff(frames[i], frames[i + 1])
+                                 for i in range(count - 1)])
+            seq = VideoSequence.from_luma(header, frames)
+            sources = (iter(frames), seq, Y4MReader(io.BytesIO(y4m_bytes(seq))))
+            for source in sources:
+                series = compute_series(source)
+                assert series.values.tobytes() == expected.tobytes()
+                assert np.array_equal(series.scene_cut_flags, detect_scene_cuts(expected))
+
+    def test_default_block_boundaries(self, rng):
+        # 64x64 frames fill a 64 KiB block with 16 frames.
+        frames = random_frames(rng, 33, 64, 64)
+        expected = [frame_diff(frames[i], frames[i + 1]) for i in range(32)]
+        assert compute_series(frames).values.tolist() == expected
+
+    def test_strided_frames(self, rng):
+        wide = random_frames(rng, 6, 8, 4)
+        views = [frame(np.asarray(f.samples)[:, ::2]) for f in wide]
+        copies = [frame(np.ascontiguousarray(v.samples)) for v in views]
+        assert compute_series(views).values.tolist() == \
+            compute_series(copies).values.tolist()
+        assert frame_diff(views[0], views[1]) == frame_diff(copies[0], copies[1])
+
+    @pytest.mark.parametrize("position", [1, 3, 4, 5])
+    def test_mixed_frame_sizes_rejected(self, rng, monkeypatch, position):
+        monkeypatch.setattr(frame_analysis, "_BLOCK_BYTES", 4 * 6 * 4)
+        frames = random_frames(rng, 7, 6, 4)
+        frames[position] = random_frames(rng, 1, 4, 6)[0]
+        with pytest.raises(ShapeError):
+            compute_series(frames)
 
     def test_scene_cut_flags_populated(self):
         quiet = frame(np.zeros((4, 4), dtype=np.uint8))

@@ -91,6 +91,23 @@ class TestDetect:
         timeline = detect_freezes(series, DetectorConfig(epsilon_abs=0.01), fps=24.0)
         assert timeline.fps == 24.0
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from(["move", "still", "cut"]), min_size=1, max_size=60))
+    def test_matches_run_loop(self, kinds):
+        series = make_series([9.0 if k == "move" else 0.0 for k in kinds],
+                             cuts=[i for i, k in enumerate(kinds) if k == "cut"])
+        cfg = DetectorConfig(epsilon_abs=0.01)
+        expected = []
+        run_start = None
+        for i, k in enumerate(kinds + ["move"]):
+            if k == "still" and run_start is None:
+                run_start = i + 1
+            elif k != "still" and run_start is not None:
+                if i + 1 - run_start >= 2:
+                    expected.append(FreezeEvent(run_start, i + 1 - run_start))
+                run_start = None
+        assert detect_freezes(series, cfg).events == expected
+
 
 class TestEventValidation:
     def test_start_zero_rejected(self):

@@ -110,10 +110,31 @@ class TestFramePayloads:
         seq = parse_y4m(io.BytesIO(b"YUV4MPEG2 W4 H2 F25:1\n"))
         assert seq.frame_count == 0
 
-    def test_frame_params_on_marker_line_accepted(self):
-        data = b"YUV4MPEG2 W4 H2 F25:1\nFRAME Ix\n" + bytes(8) + b"\x80" * 4
-        seq = parse_y4m(io.BytesIO(data))
-        assert seq.frame_count == 1
+    def test_frame_params_on_marker_line_accepted(self, rng):
+        seq = make_sequence(rng, count=4, width=4, height=2)
+        plain = y4m_bytes(seq)
+        parts = plain.split(b"FRAME\n")
+        with_params = parts[0] + b"".join(
+            marker + part for marker, part in
+            zip((b"FRAME Ixyz\n", b"FRAME\n", b"FRAME Ip Xa=1\n", b"FRAME \n"), parts[1:]))
+        assert parse_y4m(io.BytesIO(with_params)) == seq == parse_y4m(io.BytesIO(plain))
+
+    @pytest.mark.parametrize("tail,offset,reason", [
+        (b"GRAME\n" + bytes(12), 0, "expected FRAME marker"),
+        (b"FRAMES\n" + bytes(12), 0, "expected FRAME marker"),
+        (b"FRAME\r\n" + bytes(12), 0, "expected FRAME marker"),
+        (b"\n" + bytes(12), 0, "expected FRAME marker"),
+        (b"FRAME", 5, "unterminated header line"),
+        (b"FRAME Ix", 8, "unterminated header line"),
+        (b"FRAME " + b"X" * 5000 + b"\n", 0, "header line too long"),
+    ], ids=["garbage", "prefix", "crlf", "empty", "unterminated", "unterminated-params",
+            "overlong"])
+    def test_bad_second_marker_offsets(self, tail, offset, reason):
+        data = simple_y4m()
+        with pytest.raises(ParseError) as exc:
+            parse_y4m(io.BytesIO(data + tail))
+        assert exc.value.position == len(data) + offset
+        assert exc.value.reason.startswith(reason)
 
 
 class TestHeaderValidation:
@@ -284,6 +305,15 @@ class TestBoundedReads:
             list(Y4MReader(stream, self.HUGE))
         assert exc.value.remainder == 13
         assert 0 < stream.largest <= video_io._READ_CHUNK
+
+    def test_short_reads_are_completed(self, rng):
+        seq = make_sequence(rng, count=4, width=8, height=6)
+
+        class Trickle(_RecordingStream):
+            def read(self, n=-1):
+                return super().read(min(n, 7))
+
+        assert parse_y4m(Trickle(y4m_bytes(seq))) == seq
 
     def test_payload_spanning_many_chunks(self, rng, monkeypatch):
         seq = make_sequence(rng, count=4, width=8, height=6)
