@@ -2,21 +2,24 @@
 
 The frame difference between consecutive frames is the mean of the squared
 per-pixel luma change. The change of 8-bit input is taken as max - min in
-uint8, squared into uint16 (at most 255^2) and summed in uint64. The sum is
-an exact integer below 255^2 * W * H < 2^53, so it converts to float64
-exactly and the one division at the end rounds as integer arithmetic
-would: results are bit-exact and platform independent.
+uint8 and squared into uint16 (at most 255^2). The squares are summed in
+uint32 over at most 66,051 pixels at a time (255^2 * 66,051 < 2^32): the
+whole frame when it is that small, else consecutive runs of that many
+pixels, whose sums are added in uint64. Every sum is an exact integer
+below 255^2 * W * H < 2^53, so it converts to float64 exactly and the one
+division at the end rounds as integer arithmetic would: results are
+bit-exact and platform independent.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
 
 from .errors import ShapeError, TooFewFrames
-from .video_io import LumaFrame
+from .video_io import LumaFrame, Y4MReader
 
 if TYPE_CHECKING:
     from .freeze_detection import FreezeTimeline
@@ -24,8 +27,11 @@ if TYPE_CHECKING:
 # A transition must exceed this multiple of the recent mean to count as a cut.
 SCENE_CUT_FACTOR = 5.0
 SCENE_CUT_HISTORY = 5
-# compute_series holds as many frames as fit in this many bytes, at least two.
-_BLOCK_BYTES = 1 << 16
+# compute_series reads and differences as many frames at once as fit in
+# this many bytes, at least one.
+_BLOCK_BYTES = 1 << 18
+# Most squared uint8 differences a uint32 sum holds: 255**2 * 66051 < 2**32.
+_SUM32_PIXELS = 66051
 
 
 @dataclass(eq=False)
@@ -63,9 +69,18 @@ def frame_diff(a: LumaFrame, b: LumaFrame) -> float:
 
 def _fd_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Mean squared difference between matching rows of two (pairs, pixels) blocks."""
+    pairs, pixels = a.shape
     d = np.maximum(a, b)
     d -= np.minimum(a, b)
-    return np.square(d, dtype=np.uint16).sum(axis=1, dtype=np.uint64) / a.shape[1]
+    squares = np.square(d, dtype=np.uint16)
+    if pixels <= _SUM32_PIXELS:
+        sums = squares.sum(axis=1, dtype=np.uint32)
+    else:
+        grouped = pixels - pixels % _SUM32_PIXELS
+        sums = squares[:, :grouped].reshape(pairs, -1, _SUM32_PIXELS).sum(
+            axis=2, dtype=np.uint32).sum(axis=1, dtype=np.uint64)
+        sums += squares[:, grouped:].sum(axis=1, dtype=np.uint32)
+    return sums / pixels
 
 
 def detect_scene_cuts(values: np.ndarray) -> np.ndarray:
@@ -90,24 +105,13 @@ def detect_scene_cuts(values: np.ndarray) -> np.ndarray:
     return flags
 
 
-def compute_series(source: Iterable[LumaFrame]) -> FrameDiffSeries:
-    """Frame-difference series for a sequence or a streamed frame source.
-
-    Frames are copied into a block of rows, one kernel call per block; the
-    block's last frame is carried into the next block's first row.
-    """
-    frames = iter(source)
-    first = next(frames, None)
-    if first is None:
-        raise TooFewFrames("need at least two frames to form a difference")
-    width, height = first.width, first.height
-    capacity = max(2, _BLOCK_BYTES // (width * height))
+def _frame_blocks(frames: Iterator[LumaFrame], width: int,
+                  height: int) -> Iterator[np.ndarray]:
+    """Copy frames into one reused block; yield its filled (frames, W*H) rows."""
+    capacity = max(1, _BLOCK_BYTES // (width * height))
     block = np.empty((capacity, height, width), dtype=np.uint8)
     rows = block.reshape(capacity, -1)
-    block[0] = first.samples
-    del first  # the block holds its copy; do not keep the frame alive
-    parts = []
-    filled = 1
+    filled = 0
     for frame in frames:
         if frame.width != width or frame.height != height:
             raise ShapeError(
@@ -115,13 +119,49 @@ def compute_series(source: Iterable[LumaFrame]) -> FrameDiffSeries:
         block[filled] = frame.samples
         filled += 1
         if filled == capacity:
-            parts.append(_fd_pairs(rows[:-1], rows[1:]))
-            block[0] = block[-1]
-            filled = 1
-    parts.append(_fd_pairs(rows[:filled - 1], rows[1:filled]))
-    values = np.concatenate(parts)
-    if not values.size:
+            yield rows
+            filled = 0
+    if filled:
+        yield rows[:filled]
+
+
+def compute_series(source: Iterable[LumaFrame]) -> FrameDiffSeries:
+    """Frame-difference series for a sequence or a streamed frame source.
+
+    The first frame fixes the geometry. The rest arrive in blocks of rows,
+    views into a ``Y4MReader``'s buffer or copies from any other source.
+    Each block is differenced where it lies, its first row against the
+    last row of the block before, which is carried over; memory holds one
+    block however long the clip.
+    """
+    if isinstance(source, Y4MReader):
+        # read_frame, not next(iter(source)): a suspended iterator would
+        # hold on to the first frame for the whole call.
+        head = source.read_frame()
+        first = None if head is None else head[0]
+        del head
+    else:
+        frames = iter(source)
+        first = next(frames, None)
+    if first is None:
         raise TooFewFrames("need at least two frames to form a difference")
+    width, height = first.width, first.height
+    last = np.empty((1, width * height), dtype=np.uint8)
+    last.reshape(height, width)[...] = first.samples
+    del first  # ``last`` holds its copy; do not keep the frame alive
+    if isinstance(source, Y4MReader):
+        blocks = source.luma_blocks(_BLOCK_BYTES)
+    else:
+        blocks = _frame_blocks(frames, width, height)
+    parts = []
+    for rows in blocks:
+        parts.append(_fd_pairs(last, rows[:1]))
+        if len(rows) > 1:
+            parts.append(_fd_pairs(rows[:-1], rows[1:]))
+        last[0] = rows[-1]
+    if not parts:
+        raise TooFewFrames("need at least two frames to form a difference")
+    values = np.concatenate(parts)
     return FrameDiffSeries(values=values, scene_cut_flags=detect_scene_cuts(values))
 
 

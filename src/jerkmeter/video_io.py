@@ -1,10 +1,10 @@
 """Y4M container and headerless planar YUV reading/writing.
 
 Only 8-bit planar formats are handled. One reader, ``Y4MReader``, serves
-both containers and streams frame by frame; ``parse_y4m`` and
-``parse_raw_yuv`` materialize its output. Chroma planes are read and
-carried along so files survive a parse/write round trip byte for byte,
-but all analysis downstream looks at the luma plane only.
+both containers and streams frames in blocks or one at a time;
+``parse_y4m`` and ``parse_raw_yuv`` materialize its output. Chroma planes
+are read and carried along so files survive a parse/write round trip byte
+for byte, but all analysis downstream looks at the luma plane only.
 """
 
 from __future__ import annotations
@@ -24,7 +24,10 @@ from .errors import (
 
 Y4M_SIGNATURE = b"YUV4MPEG2"
 _MAX_HEADER_LINE = 4096
-# Largest single read of frame payload; bounds what a lying header can cost.
+_MARKER = b"FRAME\n"
+_MARKER_BYTES = np.frombuffer(_MARKER, dtype=np.uint8)
+# Largest single read, and step by which the reader's buffer grows; bounds
+# what a header claiming more than the file holds can cost.
 _READ_CHUNK = 1 << 24
 
 
@@ -170,46 +173,95 @@ class VideoSequence:
         )
 
 
+def _parse_count(text: str, pos: int, what: str) -> int:
+    """A Y4M number: decimal digits only (header tokens are ASCII)."""
+    if not text.isdigit():
+        raise ParseError(pos, f"bad {what} {text!r}")
+    return int(text)
+
+
 def _parse_ratio(text: str, pos: int, what: str) -> tuple[int, int]:
     num, sep, den = text.partition(":")
     if not sep:
         raise ParseError(pos, f"{what} must be num:den, got {text!r}")
-    try:
-        return int(num), int(den)
-    except ValueError:
-        raise ParseError(pos, f"non-integer {what} {text!r}") from None
+    if not (num.isdigit() and den.isdigit()):
+        raise ParseError(pos, f"non-integer {what} {text!r}")
+    return int(num), int(den)
 
 
 class Y4MReader:
-    """Streaming frame reader: frames come out one at a time.
+    """Streaming frame reader over one reused buffer.
 
     Reads Y4M when ``header`` is None, otherwise headerless planar YUV of
-    the given geometry. Iterating yields luma only and holds O(1) frames in
-    memory, which is what the analysis pipeline needs for long clips.
+    the given geometry. ``luma_blocks`` hands out the luma planes of as
+    many whole frames as fit in a byte budget, as views into the buffer;
+    ``read_frame`` and iteration hand out independent copies of one frame.
+    Either way the buffer holds one block, or one frame when a frame is
+    larger, plus one block of gathered copies once a marker other than a
+    bare ``FRAME`` is met, so memory does not grow with the clip's length.
     """
 
     def __init__(self, stream: BinaryIO, header: VideoHeader | None = None):
         self._stream = stream
-        self._pos = 0
+        self._buf = np.empty(0, dtype=np.uint8)
+        self._lo = self._hi = 0  # unread bytes: self._buf[self._lo:self._hi]
+        self._pos = 0  # stream offset of self._lo
+        self._gathered = np.empty((0, 0), dtype=np.uint8)
         self._index = 0
         self._raw = header is not None
         self.header = header if header is not None else self._parse_header()
-        self._plane_sizes = (self.header.luma_size, self.header.chroma_size)
+        self._marker_size = 0 if self._raw else len(_MARKER)
+        self._record = self._marker_size + self.header.frame_size
 
-    def _take_line(self, line: bytes) -> bytes | None:
-        """``line``, just read, without its newline, or None at end of stream."""
+    def _fill(self, n: int) -> int:
+        """Make ``n`` unread bytes available, fewer only at end of stream.
+
+        Returns how many are available. Each read asks for at most
+        ``_READ_CHUNK`` bytes and the buffer grows only once full, so a
+        header claiming a larger frame than the file holds costs one chunk,
+        not the claimed size.
+        """
+        lo, hi = self._lo, self._hi
+        if hi - lo >= n:
+            return hi - lo
+        buf = self._buf
+        if lo:
+            buf[:hi - lo] = buf[lo:hi]
+            hi -= lo
+            self._lo = 0
+        while hi < n:
+            if hi == len(buf):
+                grown = np.empty(min(n, hi + _READ_CHUNK), dtype=np.uint8)
+                grown[:hi] = buf[:hi]
+                buf = self._buf = grown
+            got = self._stream.readinto(memoryview(buf)[hi:min(n, hi + _READ_CHUNK)])
+            if not got:
+                break
+            hi += got
+        self._hi = hi
+        return hi
+
+    def _consume(self, n: int) -> None:
+        self._lo += n
+        self._pos += n
+
+    def _read_line(self) -> bytes | None:
+        """The next line without its newline, or None at end of stream."""
         start = self._pos
-        self._pos += len(line)
-        if line.endswith(b"\n"):
-            return line[:-1]
-        if len(line) == _MAX_HEADER_LINE:
-            raise ParseError(start, "header line too long")
-        if line:
-            raise ParseError(self._pos, "unterminated header line")
-        return None
+        available = min(self._fill(_MAX_HEADER_LINE), _MAX_HEADER_LINE)
+        text = self._buf[self._lo:self._lo + available].tobytes()
+        end = text.find(b"\n")
+        if end < 0:
+            if available == _MAX_HEADER_LINE:
+                raise ParseError(start, "header line too long")
+            if available:
+                raise ParseError(start + available, "unterminated header line")
+            return None
+        self._consume(end + 1)
+        return text[:end]
 
     def _parse_header(self) -> VideoHeader:
-        line = self._take_line(self._stream.readline(_MAX_HEADER_LINE))
+        line = self._read_line()
         if line is None or not line.startswith(Y4M_SIGNATURE):
             raise ParseError(0, "missing YUV4MPEG2 signature")
         rest = line[len(Y4M_SIGNATURE):]
@@ -227,15 +279,9 @@ class Y4MReader:
         for tok in params:
             key, val = tok[0], tok[1:]
             if key == "W":
-                try:
-                    width = int(val)
-                except ValueError:
-                    raise ParseError(pos, f"bad width {val!r}") from None
+                width = _parse_count(val, pos, "width")
             elif key == "H":
-                try:
-                    height = int(val)
-                except ValueError:
-                    raise ParseError(pos, f"bad height {val!r}") from None
+                height = _parse_count(val, pos, "height")
             elif key == "F":
                 fps = _parse_ratio(val, pos, "frame rate")
             elif key == "C":
@@ -252,33 +298,110 @@ class Y4MReader:
         return VideoHeader(width=width, height=height, fps_num=fps[0],
                            fps_den=fps[1], chroma=chroma, raw_params=params)
 
-    def read_frame(self) -> tuple[LumaFrame, bytes] | None:
-        """Next (luma, chroma-bytes) pair, or None at a clean end of stream."""
+    def _bare_records(self, count: int) -> np.ndarray:
+        """Payloads of up to ``count`` next whole records behind bare markers.
+
+        Consumes them and returns a (frames, frame_size) view of the buffer,
+        possibly empty. The buffer is refilled only when it holds less than
+        one record, so a run of other markers does not reread the block.
+        """
+        record = self._record
+        available = self._hi - self._lo
+        if available < record:
+            available = self._fill(count * record)
+        whole = min(count, available // record)
+        records = self._buf[self._lo:self._lo + whole * record].reshape(whole, record)
+        if not self._raw:
+            # Check markers in runs growing 8-fold and stop at the first bad
+            # one, so a run costs in proportion to its own length.
+            checked, run = 0, 8
+            while checked < whole:
+                end = min(whole, checked + run)
+                bad = np.flatnonzero(
+                    (records[checked:end, :len(_MARKER)] != _MARKER_BYTES).any(axis=1))
+                if bad.size:
+                    whole = checked + int(bad[0])
+                checked, run = end, run * 8
+        self._consume(whole * record)
+        self._index += whole
+        return records[:whole, self._marker_size:]
+
+    def _checked_record(self) -> np.ndarray | None:
+        """Payload of the next frame through the line checks, or None at a clean end.
+
+        This is the path for any marker other than a bare ``FRAME`` and for
+        a short tail; it reports where and why the stream is malformed.
+        """
         if not self._raw:
             start = self._pos
-            line = self._stream.readline(_MAX_HEADER_LINE)
-            if line == b"FRAME\n":
-                self._pos += len(line)
-            else:
-                marker = self._take_line(line)
-                if marker is None:
-                    return None
-                if marker.split(b" ", 1)[0] != b"FRAME":
-                    raise ParseError(start, f"expected FRAME marker, got {marker[:16]!r}")
-        luma_size, chroma_size = self._plane_sizes
-        luma = _read_exact(self._stream, luma_size)
-        if self._raw and not luma:
+            marker = self._read_line()
+            if marker is None:
+                return None
+            if marker.split(b" ", 1)[0] != b"FRAME":
+                raise ParseError(start, f"expected FRAME marker, got {marker[:16]!r}")
+        size = self._record - self._marker_size
+        available = self._fill(size)
+        if available < size:
+            if not self._raw:
+                raise TruncatedFrame(self._index)
+            if available:
+                raise TrailingBytes(available)
             return None
-        chroma = _read_exact(self._stream, chroma_size)
-        self._pos += len(luma) + len(chroma)
-        if len(luma) < luma_size or len(chroma) < chroma_size:
-            if self._raw:
-                raise TrailingBytes(len(luma) + len(chroma))
-            raise TruncatedFrame(self._index)
+        payload = self._buf[self._lo:self._lo + size]
+        self._consume(size)
         self._index += 1
-        width, height = self.header.width, self.header.height
-        samples = np.frombuffer(luma, dtype=np.uint8).reshape(height, width)
-        return LumaFrame(width, height, samples), chroma
+        return payload
+
+    def _read_records(self, count: int) -> np.ndarray | None:
+        """Payloads of up to ``count`` next frames, or None at a clean end.
+
+        The result is a (frames, frame_size) array valid until the next
+        read: a view of the buffer for a run of bare markers, else copies
+        gathered into a second reused array of at most ``count`` frames.
+        """
+        run = self._bare_records(count)
+        if len(run):
+            return run
+        payload = self._checked_record()
+        if payload is None or count == 1:
+            return None if payload is None else payload.reshape(1, -1)
+        if self._gathered.shape[0] != count:
+            self._gathered = np.empty((count, len(payload)), dtype=np.uint8)
+        gathered = self._gathered
+        gathered[0] = payload
+        n = 1
+        while n < count:
+            if (self._buf[self._lo:self._lo + len(_MARKER)].tobytes() == _MARKER
+                    and len(run := self._bare_records(count - n))):
+                gathered[n:n + len(run)] = run
+                n += len(run)
+            elif (payload := self._checked_record()) is not None:
+                gathered[n] = payload
+                n += 1
+            else:
+                break
+        return gathered[:n]
+
+    def luma_blocks(self, max_bytes: int) -> Iterator[np.ndarray]:
+        """Luma planes of the remaining frames, block by block.
+
+        Each block holds as many frames as whole records fit in
+        ``max_bytes``, at least one, as a (frames, width * height) uint8
+        view that the next read overwrites: into the reader's buffer for
+        frames behind bare markers, into the gathered copies otherwise.
+        """
+        count = max(1, max_bytes // self._record)
+        while (payload := self._read_records(count)) is not None:
+            yield payload[:, :self.header.luma_size]
+
+    def read_frame(self) -> tuple[LumaFrame, bytes] | None:
+        """Next (luma, chroma-bytes) pair, or None at a clean end of stream."""
+        payload = self._read_records(1)
+        if payload is None:
+            return None
+        width, height, luma_size = self.header.width, self.header.height, self.header.luma_size
+        samples = payload[0, :luma_size].reshape(height, width).copy()
+        return LumaFrame(width, height, samples), payload[0, luma_size:].tobytes()
 
     def __iter__(self) -> Iterator[LumaFrame]:
         while (nxt := self.read_frame()) is not None:
@@ -288,24 +411,6 @@ class Y4MReader:
 def parse_y4m(stream: BinaryIO) -> VideoSequence:
     """Materialize a whole Y4M stream, chroma included."""
     return VideoSequence.from_reader(Y4MReader(stream))
-
-
-def _read_exact(stream: BinaryIO, n: int) -> bytes:
-    """Up to ``n`` bytes, fewer only at end of stream.
-
-    Reads at most ``_READ_CHUNK`` bytes at a time, so a header claiming a
-    larger frame than the file holds costs one chunk, not the claimed size.
-    """
-    chunk = stream.read(min(n, _READ_CHUNK))
-    if len(chunk) == n:
-        return chunk
-    chunks = [chunk]
-    remaining = n - len(chunk)
-    while remaining and chunk:
-        chunk = stream.read(min(remaining, _READ_CHUNK))
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
 
 
 def parse_raw_yuv(stream: BinaryIO, header: VideoHeader) -> VideoSequence:

@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -188,6 +189,34 @@ class TestComputeSeries:
         frames[position] = random_frames(rng, 1, 4, 6)[0]
         with pytest.raises(ShapeError):
             compute_series(frames)
+
+    @pytest.mark.parametrize("width,height", [
+        (1, 66051), (66051, 1), (1, 66052), (66052, 1), (300, 300)])
+    def test_exact_at_uint32_bound(self, width, height):
+        # 255**2 * 66051 is the largest sum of squares a uint32 holds: whole
+        # frames, groups of rows and uint64 rows are all taken here.
+        dark = frame(np.zeros((height, width), dtype=np.uint8))
+        bright = frame(np.full((height, width), 255, dtype=np.uint8))
+        assert compute_series([dark, bright, dark]).values.tolist() == [65025.0, 65025.0]
+
+    def test_streaming_memory_is_flat(self, rng):
+        # Beyond the output, which grows by a few float64 per frame,
+        # streaming 5,000 frames may cost no more than 500 do: one block
+        # buffer and kernel temporaries (a few bytes per block byte) at most.
+        header = b"YUV4MPEG2 W64 H64 F25:1 C420jpeg\n"
+        records = [b"FRAME\n" + rng.bytes(64 * 64 * 3 // 2) for _ in range(7)]
+
+        def peak(count):
+            stream = io.BytesIO(header + b"".join(records[i % 7] for i in range(count)))
+            tracemalloc.start()
+            try:
+                compute_series(Y4MReader(stream))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        output = 4 * 8 * 5000
+        assert peak(5000) <= peak(500) + output + 4 * frame_analysis._BLOCK_BYTES
 
     def test_scene_cut_flags_populated(self):
         quiet = frame(np.zeros((4, 4), dtype=np.uint8))

@@ -1,27 +1,31 @@
 import gc
 import io
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from jerkmeter import (
     ChromaFormat,
+    JerkmeterError,
     LumaFrame,
     ParseError,
+    TooFewFrames,
     TrailingBytes,
     TruncatedFrame,
     UnsupportedFormat,
     VideoHeader,
     VideoSequence,
     Y4MReader,
+    compute_series,
     parse_raw_yuv,
     parse_y4m,
     write_y4m,
 )
-from jerkmeter import video_io
+from jerkmeter import frame_analysis, video_io
 from jerkmeter.video_io import header_tokens
 
 from conftest import frame, make_sequence, random_frames, y4m_bytes
@@ -79,6 +83,17 @@ class TestHeaderParsing:
     def test_bad_frame_rate(self):
         with pytest.raises(ParseError):
             parse_y4m(io.BytesIO(simple_y4m(b"W4 H2 F25")))
+
+    @pytest.mark.parametrize("params,offset", [
+        (b"W4_0 H2 F25:1", 10), (b"W+4 H2 F25:1", 10), (b"W H2 F25:1", 10),
+        (b"W4 H-2 F25:1", 13), (b"W4 H 2 F25:1", 13),
+        (b"W4 H2 F2_5:1", 16), (b"W4 H2 F+25:1", 16), (b"W4 H2 F25:1_0", 16),
+        (b"W4 H2 F25:", 16),
+    ])
+    def test_numbers_are_plain_decimal_digits(self, params, offset):
+        with pytest.raises(ParseError) as exc:
+            parse_y4m(io.BytesIO(simple_y4m(params)))
+        assert exc.value.position == offset
 
     def test_unsupported_chroma(self):
         with pytest.raises(UnsupportedFormat):
@@ -278,13 +293,33 @@ class TestStreaming:
 
 
 class _RecordingStream(io.BytesIO):
-    """A BytesIO that remembers the largest read(n) it was asked for."""
+    """A BytesIO that remembers the largest read it was asked for.
+
+    Both ``read(n)`` and ``readinto(buffer)`` count, the latter by the
+    buffer's size; ``limit`` caps what either returns per call.
+    """
 
     largest = 0
+    limit = None
 
     def read(self, n=-1):
         self.largest = max(self.largest, n)
+        if self.limit is not None:
+            n = self.limit if n < 0 else min(n, self.limit)
         return super().read(n)
+
+    def readinto(self, buffer):
+        view = memoryview(buffer).cast("B")
+        self.largest = max(self.largest, len(view))
+        if self.limit is not None:
+            view = view[:self.limit]
+        return super().readinto(view)
+
+
+class Trickle(_RecordingStream):
+    """Returns at most 7 bytes per read, as a pipe may."""
+
+    limit = 7
 
 
 class TestBoundedReads:
@@ -308,12 +343,9 @@ class TestBoundedReads:
 
     def test_short_reads_are_completed(self, rng):
         seq = make_sequence(rng, count=4, width=8, height=6)
-
-        class Trickle(_RecordingStream):
-            def read(self, n=-1):
-                return super().read(min(n, 7))
-
-        assert parse_y4m(Trickle(y4m_bytes(seq))) == seq
+        stream = Trickle(y4m_bytes(seq))
+        assert parse_y4m(stream) == seq
+        assert stream.largest > 7
 
     def test_payload_spanning_many_chunks(self, rng, monkeypatch):
         seq = make_sequence(rng, count=4, width=8, height=6)
@@ -322,6 +354,148 @@ class TestBoundedReads:
         stream = _RecordingStream(data)
         assert parse_y4m(stream) == seq
         assert stream.largest == 5
+
+
+# Bare, parameterised, garbage and CRLF frame markers.
+MARKERS = (b"FRAME\n", b"FRAME Ixyz\n", b"FRAME \n", b"GRAME\n", b"FRAME\r\n")
+
+
+@st.composite
+def clips(draw):
+    """A Y4M or raw YUV stream described by its parts, and how to read it.
+
+    Frames run from 1x1 to larger than a block; the block budget holds one
+    to five frames, so the frame count crosses block boundaries. Most
+    markers are bare, as in written files; ``cut`` bytes are taken off the
+    end of the stream, so it may stop at any byte of its last record.
+    """
+    chroma = draw(st.sampled_from([ChromaFormat.MONO, ChromaFormat.C420]))
+    step = 1 if chroma is ChromaFormat.MONO else 2
+    header = VideoHeader(width=draw(st.integers(1, 12)) * step,
+                         height=draw(st.integers(1, 12)) * step,
+                         fps_num=25, fps_den=1, chroma=chroma)
+    raw = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # A few distinct payloads, repeated, so some differences are zero.
+    pool = [rng.bytes(header.frame_size) for _ in range(3)]
+    count = draw(st.integers(0, 12))
+    frames = [pool[draw(st.integers(0, 2))] for _ in range(count)]
+    if raw:
+        markers = [b""] * count
+    else:
+        markers = [draw(st.one_of(st.just(MARKERS[0]), st.just(MARKERS[0]),
+                                  st.sampled_from(MARKERS)))
+                   for _ in range(count)]
+    cut = draw(st.one_of(st.just(0), st.integers(1, header.frame_size + len(MARKERS[-1]))))
+    block_bytes = draw(st.integers(1, 5 * (header.frame_size + 6)))
+    stream = draw(st.sampled_from([io.BytesIO, Trickle]))
+    return header, raw, frames, markers, cut, block_bytes, stream
+
+
+def _expected(header, raw, frames, markers, cut, start):
+    """Series bytes, or the class and message of the error, from the parts.
+
+    Walks the records as they were generated, ``start`` bytes into the
+    stream, and diffs the luma planes in int64; no reader code is used.
+    """
+    end = max(0, sum(len(m) + len(f) for m, f in zip(markers, frames)) - cut)
+    luma, off = [], 0
+    for index, (marker, payload) in enumerate(zip(markers, frames)):
+        left = end - off
+        if left == 0:
+            break
+        if left < len(marker):
+            err = ParseError(start + off + left, "unterminated header line")
+            return type(err), str(err)
+        if not raw and marker not in (b"FRAME\n", b"FRAME Ixyz\n", b"FRAME \n"):
+            err = ParseError(start + off, f"expected FRAME marker, got {marker[:-1]!r}")
+            return type(err), str(err)
+        left -= len(marker)
+        if left < len(payload):
+            err = TrailingBytes(left) if raw else TruncatedFrame(index)
+            return type(err), str(err)
+        luma.append(np.frombuffer(payload[:header.luma_size], dtype=np.uint8))
+        off += len(marker) + len(payload)
+    if len(luma) < 2:
+        return TooFewFrames, "need at least two frames to form a difference"
+    values = [float(np.square(a.astype(np.int64) - b).sum()) / header.luma_size
+              for a, b in zip(luma, luma[1:])]
+    return np.array(values, dtype=np.float64).tobytes()
+
+
+def _outcome(run):
+    """Series bytes, or the class and message of the error raised."""
+    try:
+        return run().values.tobytes()
+    except JerkmeterError as exc:
+        return type(exc), str(exc)
+
+
+class TestBlockReads:
+    @seed(20261018)
+    @settings(max_examples=400, deadline=None)
+    @given(clip=clips())
+    def test_both_read_paths_match_a_reference(self, clip):
+        header, raw, frames, markers, cut, block_bytes, stream = clip
+        data = b"".join(m + f for m, f in zip(markers, frames))
+        data = data[:max(0, len(data) - cut)]
+        start = 0
+        if not raw:
+            tokens = b"".join(b" " + t.encode("ascii") for t in header_tokens(header))
+            prefix = b"YUV4MPEG2" + tokens + b"\n"
+            data, start = prefix + data, len(prefix)
+        given_header = header if raw else None
+
+        def blocked():
+            return compute_series(Y4MReader(stream(data), given_header))
+
+        def frame_by_frame():
+            if raw:
+                return compute_series(parse_raw_yuv(stream(data), header).frames)
+            return compute_series(parse_y4m(stream(data)).frames)
+
+        expected = _expected(header, raw, frames, markers, cut, start)
+        with mock.patch.object(frame_analysis, "_BLOCK_BYTES", block_bytes):
+            assert _outcome(blocked) == expected
+        assert _outcome(frame_by_frame) == expected
+
+    @pytest.mark.parametrize("k", [0, 7, 8, 9, 71, 72, 73, 99])
+    def test_marker_checked_at_every_position_of_a_block(self, k):
+        # Markers are compared in runs of 8, 64, ...; the frames are tiny,
+        # so all 100 records share one block and k sits at each run's edges.
+        header = b"YUV4MPEG2 W2 H2 F25:1 Cmono\n"
+
+        def stream(marker):
+            return io.BytesIO(header + b"".join(
+                (marker if i == k else b"FRAME\n") + bytes([i]) * 4 for i in range(100)))
+
+        with pytest.raises(ParseError) as exc:
+            compute_series(Y4MReader(stream(b"GRAME\n")))
+        assert exc.value.position == len(header) + 10 * k
+        assert compute_series(Y4MReader(stream(b"FRAME Ixyz\n"))).values.tolist() == [1.0] * 99
+
+    def test_series_does_not_keep_the_first_frame(self, rng):
+        # Frames larger than a block are read one per block; by the time
+        # the last is read, the first may be held only as the carried row.
+        seq = make_sequence(rng, count=6, width=512, height=512)
+        reader = Y4MReader(io.BytesIO(y4m_bytes(seq)))
+        refs = []
+        read_frame = reader.read_frame
+
+        def traced_read_frame():
+            nxt = read_frame()
+            refs.append(weakref.ref(nxt[0]))
+            return nxt
+
+        def blocks(max_bytes):
+            for rows in Y4MReader.luma_blocks(reader, max_bytes):
+                yield rows
+                assert [r() for r in refs] == [None]
+
+        reader.read_frame = traced_read_frame
+        reader.luma_blocks = blocks
+        assert compute_series(reader).frame_count == 6
+        assert len(refs) == 1
 
 
 class TestVideoSequence:
