@@ -15,6 +15,7 @@ subjective scale until the statistics are refitted on annotated data.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -33,7 +34,8 @@ def sigmoid(t: np.ndarray | float) -> np.ndarray | float:
     t = np.asarray(t, dtype=np.float64)
     e = np.exp(-np.abs(t))
     d = 1.0 + e
-    out = np.where(t >= 0, 1.0 / d, e / d)
+    out = np.where(t >= 0, 1.0, e)
+    out /= d  # 1/d where t >= 0, else e/d
     if out.ndim == 0:
         return float(out)
     return out
@@ -161,7 +163,13 @@ def _float_list(doc: dict, key: str, values: object) -> list[float]:
         isinstance(v, (int, float)) and not isinstance(v, bool) for v in values
     ):
         raise ModelFormatError(key, "expected a list of numbers")
-    return [float(v) for v in values]
+    try:
+        floats = [float(v) for v in values]
+    except OverflowError:  # an integer beyond the float range
+        raise ModelFormatError(key, "number too large for a float") from None
+    if not all(math.isfinite(v) for v in floats):
+        raise ModelFormatError(key, "numbers must be finite")
+    return floats
 
 
 def load_model(data: bytes | str) -> QualityModel:

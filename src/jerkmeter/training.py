@@ -7,6 +7,11 @@ hidden nodes) is chosen by exhaustive enumeration under a capacity
 bound: the weight count M(N+1)+M+1 must stay strictly below the
 training sample count, or the net can memorize the folds.
 
+Cross-validation fits all folds x restarts of one structure as one
+batch: the problems run in lockstep, one LM iteration of each per round,
+so numpy is called per round rather than per problem. Each fit is bit
+for bit what fitting its problem alone would give.
+
 Everything downstream of the rng seed is deterministic: fold assignment
 is derived from the seed alone, each (subset, M) combination gets its
 own derived seed, and structures are evaluated in enumeration order.
@@ -151,16 +156,18 @@ def _jacobian(x1: np.ndarray, h: np.ndarray, v: np.ndarray,
 
     Column layout matches the packed weight vector: hidden weights row by
     row (bias last in each row), then output weights, then output bias.
-    A given `out` must hold ones in its last column; it is filled and returned.
+    `h` (samples, m) and `v` (m,) may carry the same leading batch axes,
+    which the result then has too. A given `out` must hold ones in its
+    last column; it is filled and returned.
     """
-    n_samples, k = x1.shape
-    m = h.shape[1]
+    k = x1.shape[-1]
+    m = h.shape[-1]
     if out is None:
-        out = np.ones((n_samples, m * k + m + 1))
-    s = h * (1.0 - h) * v  # (n_samples, m)
-    np.multiply(s[:, :, None], x1[:, None, :],
-                out=out[:, : m * k].reshape(n_samples, m, k, copy=False))
-    out[:, m * k: -1] = h
+        out = np.ones(h.shape[:-1] + (m * k + m + 1,))
+    s = h * (1.0 - h) * v[..., None, :]  # (..., samples, m)
+    np.multiply(s[..., None], x1[..., None, :],
+                out=out[..., : m * k].reshape(s.shape + (k,), copy=False))
+    out[..., m * k: -1] = h
     return out
 
 # Damping this large with still no acceptable step means the fit is stuck
@@ -170,70 +177,190 @@ _LAMBDA_MAX = 1e12
 _LAMBDA_MIN = 1e-12
 
 
-def _lm_single(x: np.ndarray, y: np.ndarray, m: int, cfg: LMConfig,
-               rng: np.random.Generator) -> tuple[np.ndarray, float, list[float], int]:
-    n_samples, n = x.shape
-    p = param_count(m, n)
-    w = rng.uniform(-cfg.init_scale, cfg.init_scale, size=p)
-    x1 = np.hstack([x, np.ones((n_samples, 1))])
-    jac = np.ones((n_samples, p))
+def _children(seq: np.random.SeedSequence,
+              count: int) -> list[np.random.SeedSequence]:
+    """The children a first ``seq.spawn(count)`` gives, leaving `seq` unchanged."""
+    return [np.random.SeedSequence(seq.entropy, spawn_key=seq.spawn_key + (i,),
+                                   pool_size=seq.pool_size)
+            for i in range(count)]
 
-    def residuals(wvec):
-        hidden, out = _unpack(wvec, m, n)
-        h = sigmoid(x1 @ hidden.T)
-        pred = h @ out[:-1] + out[-1]
-        return pred - y, h, out[:-1]
 
-    r, h, v = residuals(w)
-    sse = float(r @ r)
-    history = [sse / n_samples]
-    lam = cfg.lambda_init
-    iters = 0
-    for iters in range(1, cfg.max_iters + 1):
-        _jacobian(x1, h, v, out=jac)
-        grad = jac.T @ r
-        if abs(grad).max() < cfg.tol_grad:
-            break
-        jtj = jac.T @ jac
-        if not np.isfinite(jtj).all():
-            raise NumericalFailure("non-finite normal equations")
-        # Damping changes only the diagonal, and solve() does not write to
-        # its input, so each trial rewrites the diagonal of jtj in place.
-        jtj_diag = jtj.diagonal().copy()
-        damped_diag = jtj.reshape(-1, copy=False)[:: p + 1]
-        neg_grad = -grad
-        accepted = False
-        small_step = False
-        while lam <= _LAMBDA_MAX:
-            np.add(jtj_diag, lam, out=damped_diag)
+def _sumsq(a: np.ndarray) -> np.ndarray:
+    """Row-wise ``a[i] @ a[i]``; matmul rounds each exactly as the 1-D dot does."""
+    return np.matmul(a[:, None, :], a[:, :, None])[:, 0, 0]
+
+
+def _runs(labels: np.ndarray) -> list[tuple[int, int, int]]:
+    """(start, stop, label) of each run of equal values in `labels`."""
+    cuts = (np.flatnonzero(labels[1:] != labels[:-1]) + 1).tolist()
+    bounds = [0, *cuts, len(labels)]
+    return [(lo, hi, int(labels[lo])) for lo, hi in zip(bounds, bounds[1:])
+            if hi > lo]
+
+
+def _solve(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve each ``a[i] @ x[i] = b[i]``; unsolvable rows come back as zeros.
+
+    Also returns which rows were solvable: not singular, finite result.
+    """
+    try:
+        x = np.linalg.solve(a, b[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:  # some system is singular: find which
+        x = np.empty_like(b)
+        for i in range(len(b)):
             try:
-                delta = np.linalg.solve(jtj, neg_grad)
-                solvable = bool(np.isfinite(delta).all())
+                x[i] = np.linalg.solve(a[i], b[i])
             except np.linalg.LinAlgError:
-                solvable = False
-            if not solvable:
-                # More damping makes the system better conditioned; only a
-                # failure at the ceiling is a genuine numerical breakdown.
-                if lam >= _LAMBDA_MAX:
-                    raise NumericalFailure(
-                        f"normal equations singular even at lambda={lam:g}")
-                lam *= cfg.lambda_up
-                continue
-            w_try = w + delta
-            r_try, h_try, v_try = residuals(w_try)
-            sse_try = float(r_try @ r_try)
-            if math.isfinite(sse_try) and sse_try < sse:
-                w, r, h, v, sse = w_try, r_try, h_try, v_try, sse_try
-                history.append(sse / n_samples)
-                lam = max(lam * cfg.lambda_down, _LAMBDA_MIN)
-                accepted = True
-                small_step = math.sqrt(delta @ delta) < cfg.tol_step * (
-                    math.sqrt(w @ w) + cfg.tol_step)
+                x[i] = np.nan
+    solved = np.isfinite(x).all(axis=1)
+    x[~solved] = 0.0
+    return x, solved
+
+
+def _lm_batch(xs: Sequence[np.ndarray], ys: Sequence[np.ndarray], m: int,
+              cfg: LMConfig,
+              seeds: Sequence[Sequence[np.random.SeedSequence]]
+              ) -> list[list[LMFit]]:
+    """Levenberg-Marquardt fits of many independent problems in lockstep.
+
+    Problem (i, j) fits design matrix ``xs[i]`` to ``ys[i]`` from a start
+    drawn with ``seeds[i][j]``; every ``xs[i]`` has the same shape. Each
+    round is one LM iteration of every unfinished problem, with their
+    Jacobian products, damped solves and trial steps stacked, so numpy is
+    called per round rather than per problem. Each problem's arithmetic,
+    and so its fit, is bit for bit that of fitting it alone. A
+    NumericalFailure is raised for the first failing problem in order, as
+    fitting them one by one would.
+    """
+    n_samples, n = xs[0].shape
+    mk = m * (n + 1)
+    p = param_count(m, n)
+    x1s = [np.hstack([x, np.ones((n_samples, 1))]) for x in xs]
+    y_all = np.stack(ys)
+    design = np.repeat(np.arange(len(xs)), [len(group) for group in seeds])
+    total = len(design)
+
+    def residuals(w, rows):
+        # Rows are grouped by design matrix, and each group's matrix is
+        # used in place rather than copied per problem.
+        z = np.empty((len(w), n_samples, m))
+        hidden = w[:, :mk].reshape(-1, m, n + 1)
+        for lo, hi, i in _runs(rows):
+            np.matmul(x1s[i], hidden[lo:hi].transpose(0, 2, 1), out=z[lo:hi])
+        h = sigmoid(z)
+        r = np.matmul(h, w[:, mk:-1, None])[:, :, 0]
+        r += w[:, -1:]
+        r -= y_all[rows]
+        return r, h
+
+    # State of the unfinished problems, one row each; `ids` numbers them.
+    ids = np.arange(total)
+    w = np.stack([np.random.default_rng(s).uniform(
+        -cfg.init_scale, cfg.init_scale, size=p)
+        for group in seeds for s in group])
+    r, h = residuals(w, design)
+    sse = _sumsq(r)
+    lam = np.full(total, cfg.lambda_init)
+    history = [[v] for v in (sse / n_samples).tolist()]
+    final_w = np.empty((total, p))
+    final_sse = np.empty(total)
+    iterations = np.full(total, cfg.max_iters)
+    failure: tuple[int, str] | None = None
+    jac = np.ones((max(len(group) for group in seeds), n_samples, p))
+
+    def fail(row, message):
+        nonlocal failure
+        if failure is None or ids[row] < failure[0]:
+            failure = (int(ids[row]), message)
+
+    def try_steps(pending, width, rows, jtj, neg_grad, done):
+        """Try the next `width` damping values of each pending problem.
+
+        Returns the problems that still have no accepted step. The values
+        follow each problem's own sequence, and the first accepted one is
+        kept, so the result is that of trying them one at a time.
+        """
+        lams = np.empty((pending.size, width + 1))
+        lams[:, 0] = lam[pending]
+        for c in range(width):
+            lams[:, c + 1] = lams[:, c] * cfg.lambda_up
+        slot, col = np.nonzero(lams[:, :width] <= _LAMBDA_MAX)
+        own = pending[slot]
+        lam_t = lams[slot, col]
+        damped = jtj[own]
+        damped.reshape(len(own), p * p)[:, :: p + 1] += lam_t[:, None]
+        delta, solved = _solve(damped, neg_grad[own])
+        w_t = w[own] + delta
+        r_t, h_t = residuals(w_t, rows[own])
+        sse_t = _sumsq(r_t)
+        better = solved & np.isfinite(sse_t) & (sse_t < sse[own])
+        # More damping makes the system better conditioned; only a
+        # failure at the ceiling is a genuine numerical breakdown.
+        stuck = ~solved & (lam_t >= _LAMBDA_MAX)
+        events = np.flatnonzero(better | stuck)
+        hit = slot[events]
+        first = events[hit != np.concatenate(([-1], hit[:-1]))]  # per slot
+        for t in first[stuck[first]]:
+            fail(own[t], f"normal equations singular even at lambda={lam_t[t]:g}")
+            done[own[t]] = True
+        t = first[better[first]]
+        acc = own[t]
+        w[acc], r[acc], h[acc], sse[acc] = w_t[t], r_t[t], h_t[t], sse_t[t]
+        lam[acc] = np.maximum(lam_t[t] * cfg.lambda_down, _LAMBDA_MIN)
+        for i, v in zip(ids[acc].tolist(), (sse_t[t] / n_samples).tolist()):
+            history[i].append(v)
+        done[acc] = np.sqrt(_sumsq(delta[t])) < cfg.tol_step * (
+            np.sqrt(_sumsq(w_t[t])) + cfg.tol_step)
+        missed = np.ones(pending.size, dtype=bool)
+        missed[hit] = False
+        pending = pending[missed]
+        lam[pending] = lams[missed, width]
+        exhausted = lam[pending] > _LAMBDA_MAX
+        done[pending[exhausted]] = True
+        return pending[~exhausted]
+
+    for it in range(1, cfg.max_iters + 1):
+        rows = design[ids]
+        grad = np.empty((len(ids), p))
+        jtj = np.empty((len(ids), p, p))
+        for lo, hi, i in _runs(rows):
+            block = _jacobian(x1s[i], h[lo:hi], w[lo:hi, mk:-1],
+                              out=jac[: hi - lo])
+            block_t = block.transpose(0, 2, 1)
+            np.matmul(block_t, r[lo:hi, :, None], out=grad[lo:hi, :, None])
+            np.matmul(block_t, block, out=jtj[lo:hi])
+        done = np.abs(grad).max(axis=1) < cfg.tol_grad
+        broken = ~done & ~np.isfinite(jtj).all(axis=(1, 2))
+        if broken.any():
+            fail(np.flatnonzero(broken)[0], "non-finite normal equations")
+            done |= broken
+        # A rejected problem retries within the round: passes try the next
+        # 1, 2, 4, ... damping values at once, at most `total` trials a pass.
+        pending = np.flatnonzero(~done)
+        tries = 1
+        while pending.size:
+            width = min(tries, max(1, total // pending.size))
+            pending = try_steps(pending, width, rows, jtj, -grad, done)
+            tries *= 2
+        if done.any():
+            finished = ids[done]
+            final_w[finished], final_sse[finished] = w[done], sse[done]
+            iterations[finished] = it
+            keep = ~done
+            ids, w, r, h = ids[keep], w[keep], r[keep], h[keep]
+            sse, lam = sse[keep], lam[keep]
+            if not ids.size:
                 break
-            lam *= cfg.lambda_up
-        if not accepted or small_step:
-            break
-    return w, sse / n_samples, history, iters
+    final_w[ids], final_sse[ids] = w, sse
+    if failure is not None:
+        raise NumericalFailure(failure[1])
+
+    fits = [LMFit(*_unpack(final_w[i], m, n),
+                  mse=float(final_sse[i] / n_samples),
+                  history=tuple(history[i]), iterations=int(iterations[i]))
+            for i in range(total)]
+    bounds = np.cumsum([0] + [len(group) for group in seeds]).tolist()
+    return [fits[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
 def train_lm(x: np.ndarray, y: np.ndarray, m: int,
@@ -243,7 +370,7 @@ def train_lm(x: np.ndarray, y: np.ndarray, m: int,
 
     `x` is (samples, features) with each column z-scored using training
     statistics; callers own that step so held-out data can never leak
-    into it.
+    into it. Among restarts, the first with the smallest MSE wins.
     """
     cfg = cfg or LMConfig()
     x = np.asarray(x, dtype=np.float64)
@@ -254,19 +381,10 @@ def train_lm(x: np.ndarray, y: np.ndarray, m: int,
         raise ConfigError("need at least one sample")
     if m < 1:
         raise ConfigError("need at least one hidden node")
-    if isinstance(seed, np.random.SeedSequence):
-        seed_seq = seed
-    else:
-        seed_seq = np.random.SeedSequence(seed)
-    best: tuple[np.ndarray, float, list[float], int] | None = None
-    for child in seed_seq.spawn(cfg.restarts):
-        result = _lm_single(x, y, m, cfg, np.random.default_rng(child))
-        if best is None or result[1] < best[1]:
-            best = result
-    w, mse, history, iters = best
-    hidden, output = _unpack(w, m, x.shape[1])
-    return LMFit(hidden=hidden, output=output, mse=mse,
-                 history=tuple(history), iterations=iters)
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence(seed)
+    fits = _lm_batch([x], [y], m, cfg, [_children(seed, cfg.restarts)])[0]
+    return min(fits, key=lambda fit: fit.mse)
 
 
 # --- folds and cross-validation ----------------------------------------
@@ -322,13 +440,26 @@ def cross_validate(samples: Sequence[TrainingSample],
         )
     if seed is None:
         seed = derived_seed(config.rng_seed, _NS_COMBO, 0)
-    fold_seeds = seed.spawn(len(folds))
-    errors = []
-    for fold_idx, val_idx in enumerate(folds):
+    fold_seeds = _children(seed, len(folds))
+    norms, xs, ys = [], [], []
+    for val_idx in folds:
         train_idx = np.setdiff1d(np.arange(len(samples)), val_idx)
         mean, std = fit_normalization(x_raw[train_idx])
-        fit = train_lm((x_raw[train_idx] - mean) / std, y[train_idx], m,
-                       config.lm, seed=fold_seeds[fold_idx])
+        norms.append((mean, std))
+        xs.append((x_raw[train_idx] - mean) / std)
+        ys.append(y[train_idx])
+    # One LM batch per training-set size fits every fold x restart problem.
+    fits = [None] * len(folds)
+    for size in dict.fromkeys(len(v) for v in ys):
+        group = [i for i, v in enumerate(ys) if len(v) == size]
+        batch = _lm_batch([xs[i] for i in group], [ys[i] for i in group], m,
+                          config.lm,
+                          [_children(fold_seeds[i], config.lm.restarts)
+                           for i in group])
+        for i, restarts in zip(group, batch):
+            fits[i] = min(restarts, key=lambda fit: fit.mse)
+    errors = []
+    for val_idx, (mean, std), fit in zip(folds, norms, fits):
         pred = forward(fit.hidden, fit.output, (x_raw[val_idx] - mean) / std)
         errors.append(float(np.mean((pred - y[val_idx]) ** 2)))
     return float(np.mean(errors))
@@ -429,6 +560,14 @@ def exhaustive_search(samples: Sequence[TrainingSample],
 _BASE_COLUMNS = ("id", "source_id", "dmos")
 
 
+def _finite_float(text: str | None) -> float:
+    """`text` as a float; TypeError or ValueError unless it is a finite number."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not finite")
+    return value
+
+
 def load_samples_csv(path: str | os.PathLike,
                      detector_config=None) -> list[TrainingSample]:
     """Read annotated samples from CSV.
@@ -454,9 +593,9 @@ def load_samples_csv(path: str | os.PathLike,
         samples = []
         for row_num, row in enumerate(reader, start=2):
             try:
-                dmos = float(row["dmos"])
+                dmos = _finite_float(row["dmos"])
             except (TypeError, ValueError):
-                raise ConfigError(f"row {row_num}: dmos is not a number")
+                raise ConfigError(f"row {row_num}: dmos is not a finite number")
             if by_path:
                 clip = row["path"] or ""
                 if not clip.lower().endswith(".y4m"):
@@ -468,10 +607,11 @@ def load_samples_csv(path: str | os.PathLike,
                                        config=detector_config).features
             else:
                 try:
-                    features = {name: float(row[name]) for name in FEATURE_NAMES}
+                    features = {name: _finite_float(row[name])
+                                for name in FEATURE_NAMES}
                 except (TypeError, ValueError):
                     raise ConfigError(
-                        f"row {row_num}: feature columns must be numbers")
+                        f"row {row_num}: feature columns must be finite numbers")
             samples.append(TrainingSample(
                 features=features, dmos=dmos,
                 source_id=row["source_id"] or "",

@@ -135,6 +135,19 @@ class TestScore:
         path.write_text("{}")
         assert run(["score", str(clip), "--model", str(path)]) == 2
 
+    def test_weight_beyond_float_range_is_runtime_error(self, clip, tmp_path,
+                                                        capsys):
+        from jerkmeter import default_model, save_model
+        doc = json.loads(save_model(default_model()))
+        doc["hidden"][0][0] = 10**400
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["score", str(clip), "--model", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "bad model field 'hidden'" in err
+        assert "Traceback" not in err
+
 
 class TestRawInput:
     def test_size_required(self, tmp_path):
@@ -252,6 +265,20 @@ class TestTrainEval:
         bad.write_text("id,dmos\nx,1\n")
         assert run(["train", "--data", str(bad), "--out",
                     str(tmp_path / "m.json")]) == 1
+
+    def test_nan_csv_cell_is_usage_error_naming_its_row(self, tmp_path, rng,
+                                                        capsys):
+        csv_path = tmp_path / "samples.csv"
+        write_feature_csv(csv_path, rng)
+        lines = csv_path.read_text().splitlines()
+        lines[4] = lines[4].rsplit(",", 1)[0] + ",nan"
+        csv_path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run(["train", "--data", str(csv_path), "--subset-sizes", "1",
+                    "--hidden", "1", "--folds", "3",
+                    "--out", str(tmp_path / "m.json")]) == 1
+        assert "row 5: feature columns must be finite numbers" in \
+            capsys.readouterr().err
 
 
 class TestDeterminism:

@@ -257,6 +257,20 @@ class TestSerialization:
             load_model(json.dumps(doc))
         assert exc.value.field == field
 
+    @pytest.mark.parametrize("mutate,field", [
+        (lambda d: d["hidden"][0].__setitem__(0, 10**400), "hidden"),
+        (lambda d: d["norm"]["mean"].__setitem__(1, -10**400), "norm"),
+        (lambda d: d["output"].__setitem__(0, float("nan")), "output"),
+        (lambda d: d["output"].__setitem__(0, float("inf")), "output"),
+        (lambda d: d["norm"]["std"].__setitem__(0, float("-inf")), "norm"),
+    ])
+    def test_numbers_a_float_cannot_hold(self, mutate, field):
+        doc = json.loads(save_model(default_model()).decode())
+        mutate(doc)
+        with pytest.raises(ModelFormatError) as exc:
+            load_model(json.dumps(doc))
+        assert exc.value.field == field
+
     def test_nonpositive_std_is_invalid_model(self):
         doc = json.loads(save_model(default_model()).decode())
         doc["norm"]["std"][2] = -1.0

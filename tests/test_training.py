@@ -40,6 +40,96 @@ from jerkmeter.training import (
 FAST_LM = LMConfig(max_iters=60, restarts=2)
 
 
+def reference_lm(x, y, m, cfg, rng):
+    """One LM fit on its own: the serial loop batched LM must reproduce.
+
+    Returns the packed weights, MSE, history, iteration count and the
+    rule that stopped the fit.
+    """
+    n_samples, n = x.shape
+    p = param_count(m, n)
+    w = rng.uniform(-cfg.init_scale, cfg.init_scale, size=p)
+    x1 = np.hstack([x, np.ones((n_samples, 1))])
+    jac = np.ones((n_samples, p))
+
+    def residuals(wvec):
+        hidden, out = training._unpack(wvec, m, n)
+        h = sigmoid(x1 @ hidden.T)
+        pred = h @ out[:-1] + out[-1]
+        return pred - y, h, out[:-1]
+
+    r, h, v = residuals(w)
+    sse = float(r @ r)
+    history = [sse / n_samples]
+    lam = cfg.lambda_init
+    iters = 0
+    stop = "max_iters"
+    for iters in range(1, cfg.max_iters + 1):
+        training._jacobian(x1, h, v, out=jac)
+        grad = jac.T @ r
+        if abs(grad).max() < cfg.tol_grad:
+            stop = "tol_grad"
+            break
+        jtj = jac.T @ jac
+        if not np.isfinite(jtj).all():
+            raise NumericalFailure("non-finite normal equations")
+        jtj_diag = jtj.diagonal().copy()
+        damped_diag = jtj.reshape(-1, copy=False)[:: p + 1]
+        neg_grad = -grad
+        accepted = False
+        small_step = False
+        while lam <= training._LAMBDA_MAX:
+            np.add(jtj_diag, lam, out=damped_diag)
+            try:
+                delta = np.linalg.solve(jtj, neg_grad)
+                solvable = bool(np.isfinite(delta).all())
+            except np.linalg.LinAlgError:
+                solvable = False
+            if not solvable:
+                if lam >= training._LAMBDA_MAX:
+                    raise NumericalFailure(
+                        f"normal equations singular even at lambda={lam:g}")
+                lam *= cfg.lambda_up
+                continue
+            w_try = w + delta
+            r_try, h_try, v_try = residuals(w_try)
+            sse_try = float(r_try @ r_try)
+            if math.isfinite(sse_try) and sse_try < sse:
+                w, r, h, v, sse = w_try, r_try, h_try, v_try, sse_try
+                history.append(sse / n_samples)
+                lam = max(lam * cfg.lambda_down, training._LAMBDA_MIN)
+                accepted = True
+                small_step = math.sqrt(delta @ delta) < cfg.tol_step * (
+                    math.sqrt(w @ w) + cfg.tol_step)
+                break
+            lam *= cfg.lambda_up
+        if not accepted:
+            stop = "lambda"
+            break
+        if small_step:
+            stop = "tol_step"
+            break
+    return w, sse / n_samples, history, iters, stop
+
+
+def assert_batch_matches_reference(xs, ys, m, cfg, seeds):
+    """_lm_batch equals reference_lm bit for bit; returns the stop rules."""
+    got = training._lm_batch(xs, ys, m, cfg, seeds)
+    assert [len(fits) for fits in got] == [len(group) for group in seeds]
+    stops = []
+    for x, y, group, fits in zip(xs, ys, seeds, got):
+        for seed, fit in zip(group, fits):
+            w, mse, history, iters, stop = reference_lm(
+                x, y, m, cfg, np.random.default_rng(seed))
+            packed = np.concatenate([fit.hidden.ravel(), fit.output])
+            assert packed.tobytes() == w.tobytes()
+            assert fit.mse == mse
+            assert fit.history == tuple(history)
+            assert fit.iterations == iters
+            stops.append(stop)
+    return stops
+
+
 def make_samples(rng, count, fn, noise=0.0):
     samples = []
     for i in range(count):
@@ -171,6 +261,120 @@ class TestTrainLm:
             train_lm(np.zeros((0, 2)), np.zeros(0), m=1)
 
 
+    def test_reused_seed_sequence_gives_the_same_fit(self, rng):
+        x = rng.normal(size=(15, 2))
+        y = rng.normal(size=15)
+        seed = np.random.SeedSequence(42)
+        a = train_lm(x, y, m=2, cfg=FAST_LM, seed=seed)
+        b = train_lm(x, y, m=2, cfg=FAST_LM, seed=seed)
+        c = train_lm(x, y, m=2, cfg=FAST_LM, seed=42)
+        assert a.history == b.history == c.history
+        assert np.array_equal(a.hidden, b.hidden)
+        assert seed.n_children_spawned == 0
+
+
+class TestLmBatch:
+    """_lm_batch against reference_lm, the serial loop it replaced."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_matches_serial_for_each_hidden_count(self, m):
+        rng = np.random.default_rng(m)
+        xs = [rng.normal(size=(30, 3)) for _ in range(3)]
+        ys = [np.tanh(x[:, 0] - 0.5 * x[:, 1]) + 0.1 * rng.normal(size=30)
+              for x in xs]
+        seeds = [training._children(derived_seed(m, i), 4) for i in range(3)]
+        stops = assert_batch_matches_reference(xs, ys, m, LMConfig(max_iters=60),
+                                               seeds)
+        assert len(stops) == 12
+
+    @pytest.mark.parametrize("grouped", [False, True])
+    def test_matches_serial_on_cross_validation_folds(self, grouped):
+        samples = make_samples(np.random.default_rng(3), 23,
+                               lambda f: np.tanh(f["NumFz"] - 1.5) + f["rFD"])
+        x_raw, y = design_matrix(samples, ("NumFz", "rFD", "AvgFzDur"))
+        groups = [s.source_id for s in samples] if grouped else None
+        folds = make_folds(23, 5, derived_seed(0, 0), groups=groups)
+        by_size: dict[int, list] = {}
+        for val_idx in folds:
+            train_idx = np.setdiff1d(np.arange(23), val_idx)
+            mean, std = fit_normalization(x_raw[train_idx])
+            by_size.setdefault(len(train_idx), []).append(
+                ((x_raw[train_idx] - mean) / std, y[train_idx]))
+        assert len(by_size) > 1  # unequal training-set sizes
+        for i, problems in enumerate(by_size.values()):
+            xs, ys = zip(*problems)
+            seeds = [training._children(derived_seed(1, i, j), 3)
+                     for j in range(len(xs))]
+            assert_batch_matches_reference(list(xs), list(ys), 2,
+                                           LMConfig(max_iters=40), seeds)
+
+    @pytest.mark.parametrize("cfg,stop", [
+        (LMConfig(tol_grad=1e3), "tol_grad"),
+        (LMConfig(max_iters=300, tol_grad=1e-20, tol_step=1e-20), "lambda"),
+        (LMConfig(lambda_init=1e13), "lambda"),
+        (LMConfig(max_iters=3), "max_iters"),
+        (LMConfig(max_iters=300, tol_grad=1e-300), "tol_step"),
+    ])
+    def test_matches_serial_whatever_stops_the_fit(self, cfg, stop):
+        rng = np.random.default_rng(11)
+        xs = [rng.normal(size=(30, 3)) for _ in range(2)]
+        ys = [np.tanh(x[:, 0] - 0.5 * x[:, 1]) for x in xs]
+        seeds = [training._children(derived_seed(2, i), 3) for i in range(2)]
+        stops = assert_batch_matches_reference(xs, ys, 1, cfg, seeds)
+        assert stop in stops
+        if cfg.tol_grad > 1.0:
+            assert set(stops) == {"tol_grad"}
+            fit = training._lm_batch(xs, ys, 1, cfg, seeds)[0][0]
+            assert fit.iterations == 1 and len(fit.history) == 1
+
+    def test_problem_alone_equals_problem_in_a_batch_of_50(self):
+        rng = np.random.default_rng(12)
+        xs = [rng.normal(size=(36, 4)) for _ in range(10)]
+        ys = [np.tanh(x @ rng.normal(size=4)) for x in xs]
+        seeds = [training._children(derived_seed(3, i), 5) for i in range(10)]
+        cfg = LMConfig(max_iters=80)
+        batch = training._lm_batch(xs, ys, 2, cfg, seeds)
+        assert sum(len(fits) for fits in batch) == 50
+        for i, j in [(0, 0), (3, 2), (9, 4)]:
+            alone = training._lm_batch([xs[i]], [ys[i]], 2, cfg,
+                                       [[seeds[i][j]]])[0][0]
+            assert alone.hidden.tobytes() == batch[i][j].hidden.tobytes()
+            assert alone.output.tobytes() == batch[i][j].output.tobytes()
+            assert alone.history == batch[i][j].history
+            assert alone.iterations == batch[i][j].iterations
+
+    def test_failure_is_that_of_the_first_failing_problem(self):
+        rng = np.random.default_rng(13)
+        x = rng.normal(size=(12, 2))
+        y = rng.normal(size=12)
+        x_inf = x.copy()
+        x_inf[5, 1] = np.inf
+        y_nan = y.copy()
+        y_nan[3] = np.nan
+        seeds = [[derived_seed(4, 0)], [derived_seed(4, 1)], [derived_seed(4, 2)]]
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(NumericalFailure) as serial:
+                reference_lm(x, y_nan, 1, FAST_LM,
+                             np.random.default_rng(seeds[1][0]))
+            with pytest.raises(NumericalFailure, match="singular") as batched:
+                training._lm_batch([x, x, x_inf], [y, y_nan, y], 1, FAST_LM,
+                                   seeds)
+            assert str(batched.value) == str(serial.value)
+            with pytest.raises(NumericalFailure, match="non-finite"):
+                training._lm_batch([x, x_inf, x], [y, y, y_nan], 1, FAST_LM,
+                                   seeds)
+
+    def test_solve_flags_singular_rows(self, rng):
+        a = rng.normal(size=(3, 4, 4))
+        a[1] = 0.0
+        b = rng.normal(size=(3, 4))
+        x, solved = training._solve(a, b)
+        assert solved.tolist() == [True, False, True]
+        assert not x[1].any()
+        for i in (0, 2):
+            assert x[i].tobytes() == np.linalg.solve(a[i], b[i]).tobytes()
+
+
 class TestFolds:
     def test_partition_properties(self):
         folds = make_folds(23, 10, derived_seed(0, 0))
@@ -249,12 +453,13 @@ class TestCrossValidate:
         samples = [TrainingSample(features={n: 0.0 for n in FEATURE_NAMES},
                                   dmos=float(v)) for v in (1.0, 2.0, 3.0, 5.0)]
 
-        def fake_train(x, y, m, cfg=None, seed=0):
-            return LMFit(hidden=np.zeros((1, x.shape[1] + 1)),
-                         output=np.array([0.0, float(np.mean(y))]),
-                         mse=0.0, history=(0.0,), iterations=0)
+        def fake_batch(xs, ys, m, cfg, seeds):
+            return [[LMFit(hidden=np.zeros((1, x.shape[1] + 1)),
+                           output=np.array([0.0, float(np.mean(y))]),
+                           mse=0.0, history=(0.0,), iterations=0)
+                     for _ in group] for x, y, group in zip(xs, ys, seeds)]
 
-        monkeypatch.setattr(training, "train_lm", fake_train)
+        monkeypatch.setattr(training, "_lm_batch", fake_batch)
         cfg = SearchConfig(hidden_range=(1,), subset_sizes=(1,), folds=2,
                            rng_seed=0, lm=FAST_LM)
         folds = make_folds(4, 2, derived_seed(0, 0))
@@ -266,6 +471,15 @@ class TestCrossValidate:
             c = y[train_idx].mean()
             expected.append(np.mean((y[val_idx] - c) ** 2))
         assert got == pytest.approx(np.mean(expected), abs=1e-15)
+
+    def test_reused_seed_sequence_gives_the_same_error(self, rng):
+        samples = make_samples(rng, 16, lambda f: f["NumFz"])
+        seed = derived_seed(0, 1, 5)
+        a = cross_validate(samples, ("NumFz", "rFD"), 1, self.config(), seed=seed)
+        b = cross_validate(samples, ("NumFz", "rFD"), 1, self.config(), seed=seed)
+        assert a == b == cross_validate(samples, ("NumFz", "rFD"), 1,
+                                        self.config(), seed=derived_seed(0, 1, 5))
+        assert seed.n_children_spawned == 0
 
     def test_duplicated_samples_validate_like_training(self, rng):
         base = make_samples(rng, 8, lambda f: 3.0 * f["rFD"] + 1.0)
@@ -420,6 +634,18 @@ class TestCsvIngestion:
         row = "a,s,not_a_number," + ",".join(["0"] * 13)
         (tmp_path / "x.csv").write_text(header + "\n" + row + "\n")
         with pytest.raises(ConfigError):
+            load_samples_csv(tmp_path / "x.csv")
+
+    @pytest.mark.parametrize("column", ["dmos", "NumFz", "rFD"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_names_its_row(self, tmp_path, column, value):
+        header = ["id", "source_id", "dmos", *FEATURE_NAMES]
+        good = ["a", "s", "1.5"] + ["0.5"] * 13
+        bad = list(good)
+        bad[header.index(column)] = value
+        (tmp_path / "x.csv").write_text(
+            "\n".join(",".join(row) for row in (header, good, bad)) + "\n")
+        with pytest.raises(ConfigError, match="row 3: .* finite number"):
             load_samples_csv(tmp_path / "x.csv")
 
     def test_non_y4m_path_rejected(self, tmp_path):
