@@ -7,12 +7,15 @@ nodes that passes the weight-count bound, each scored by 10-fold CV with 5
 LM restarts of up to 500 iterations. This script plants a network on an
 80-row synthetic feature table, times `cross_validate` on a fixed random
 sample of those structures, and prints the mean time per structure times
-the number of structures. The table, sample and seeds are fixed, so
+the number of structures. It then times the same sample through the
+search's worker processes, at 1 worker and at one per CPU, and projects
+each wall time the same way. The table, sample and seeds are fixed, so
 runs on different commits are comparable.
 
     python3 scripts/project_paper_search.py
 """
 
+import os
 import time
 
 import numpy as np
@@ -23,7 +26,7 @@ from jerkmeter import (
     TrainingSample,
     cross_validate,
 )
-from jerkmeter.training import enumerate_combinations
+from jerkmeter.training import _claimed_map, _worker_count, enumerate_combinations
 
 ROWS = 80
 SAMPLE = 24
@@ -48,17 +51,29 @@ def main():
     combos = enumerate_combinations(config)
     rng = np.random.default_rng(SEED)
     picked = sorted(rng.choice(len(combos), size=SAMPLE, replace=False))
-    times = []
+    times, errors = [], []
     for i in picked:
         subset, m = combos[i]
         start = time.perf_counter()
-        error = cross_validate(samples, subset, m, config)
+        errors.append(cross_validate(samples, subset, m, config))
         times.append(time.perf_counter() - start)
-        print(f"{times[-1]:7.2f} s  cv {error:.5f}  M={m}  {'+'.join(subset)}")
+        print(f"{times[-1]:7.2f} s  cv {errors[-1]:.5f}  M={m}  {'+'.join(subset)}")
     mean = sum(times) / len(times)
     print(f"mean {mean:.3f} s per structure (min {min(times):.2f}, "
           f"max {max(times):.2f}) x {len(combos):,} structures "
           f"= {mean * len(combos) / 3600:.1f} h projected")
+
+    def evaluate(k):
+        subset, m = combos[picked[k]]
+        return cross_validate(samples, subset, m, config)
+
+    for workers in sorted({1, _worker_count(os.cpu_count() or 1, SAMPLE)}):
+        start = time.perf_counter()
+        if _claimed_map(evaluate, SAMPLE, workers) != errors:
+            raise SystemExit(f"{workers} workers gave other CV errors")
+        wall = time.perf_counter() - start
+        print(f"{workers} worker(s): {wall:.1f} s for {SAMPLE} structures "
+              f"= {wall / SAMPLE * len(combos) / 3600:.1f} h projected")
     return 0
 
 

@@ -103,6 +103,17 @@ def _parse_events(text: str) -> list[tuple[int, int]]:
     return events
 
 
+def _parse_threads(text: str) -> int:
+    try:
+        threads = int(text)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise ConfigError(f"--threads expects a whole number of at least 1, "
+                          f"got {text!r}")
+    return threads
+
+
 def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
     try:
         return tuple(int(p) for p in text.split(",") if p.strip())
@@ -308,7 +319,7 @@ def _cmd_train(args) -> int:
         lm=lm,
         group_by_source=args.group_by_source,
     )
-    result = exhaustive_search(samples, config)
+    result = exhaustive_search(samples, config, workers=args.threads)
     with open(args.out, "wb") as handle:
         handle.write(save_model(result.model))
     if args.ranking:
@@ -367,8 +378,8 @@ def _build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--seed", type=int, default=0,
                         help="seed for every random choice (default 0)")
-    common.add_argument("--threads", type=int,
-                        help="accepted for compatibility; has no effect")
+    common.add_argument("--threads", type=_parse_threads, default=1,
+                        help="worker processes for train (default 1)")
     common.add_argument("--json", action="store_true",
                         help="machine-readable JSON on stdout")
 

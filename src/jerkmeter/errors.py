@@ -13,6 +13,9 @@ class ParseError(JerkmeterError):
         self.position = position
         self.reason = reason
 
+    def __reduce__(self):
+        return type(self), (self.position, self.reason)
+
 
 class TruncatedFrame(JerkmeterError):
     """A frame payload ended before the expected number of bytes."""
@@ -20,6 +23,9 @@ class TruncatedFrame(JerkmeterError):
     def __init__(self, frame_index: int):
         super().__init__(f"truncated payload for frame {frame_index}")
         self.frame_index = frame_index
+
+    def __reduce__(self):
+        return type(self), (self.frame_index,)
 
 
 class UnsupportedFormat(JerkmeterError):
@@ -32,6 +38,9 @@ class TrailingBytes(JerkmeterError):
     def __init__(self, remainder: int):
         super().__init__(f"{remainder} trailing bytes after the last whole frame")
         self.remainder = remainder
+
+    def __reduce__(self):
+        return type(self), (self.remainder,)
 
 
 class ShapeError(JerkmeterError):
@@ -55,6 +64,10 @@ class ModelFormatError(JerkmeterError):
             msg += f": {reason}"
         super().__init__(msg)
         self.field = field
+        self.reason = reason
+
+    def __reduce__(self):
+        return type(self), (self.field, self.reason)
 
 
 class InvalidModel(JerkmeterError):

@@ -13,8 +13,11 @@ so numpy is called per round rather than per problem. Each fit is bit
 for bit what fitting its problem alone would give.
 
 Everything downstream of the rng seed is deterministic: fold assignment
-is derived from the seed alone, each (subset, M) combination gets its
-own derived seed, and structures are evaluated in enumeration order.
+is derived from the seed alone and each (subset, M) combination gets its
+own derived seed. Structures are evaluated by up to `workers` processes,
+the calling one and children forked from it, and their errors are
+reduced in enumeration order, so the result does not depend on how many
+processes ran or which one evaluated what.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, NumericalFailure
+from .errors import ConfigError, JerkmeterError, NumericalFailure
 from .features import FEATURE_NAMES, FeatureVector, analyze
 from .quality_model import QualityModel, forward, sigmoid
 from .video_io import Y4MReader
@@ -506,9 +509,96 @@ def enumerate_combinations(config: SearchConfig,
     return combos
 
 
+def _worker_count(workers: int, tasks: int) -> int:
+    """Processes `tasks` run on when `workers` are asked for.
+
+    No more than one per task, nor more than the CPUs this process may run on.
+    """
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        cpus = os.cpu_count() or 1
+    return min(workers, tasks, cpus)
+
+
+def _claim(evaluate, counter, total: int) -> list[tuple[int, object]]:
+    """(index, result or JerkmeterError) of each task this process claims.
+
+    Indices are claimed one at a time from the shared `counter`. After an
+    error no process claims a later index, whose result cannot matter.
+    """
+    done = []
+    while True:
+        with counter.get_lock():
+            i = counter.value
+            counter.value = i + 1
+        if i >= total:
+            return done
+        try:
+            done.append((i, evaluate(i)))
+        except JerkmeterError as exc:
+            done.append((i, exc))
+            with counter.get_lock():
+                counter.value = total
+
+
+def _claimed_map(evaluate, total: int, workers: int) -> list:
+    """``[evaluate(i) for i in range(total)]``, run by up to `workers` processes.
+
+    This process and ``workers - 1`` children forked from it claim indices
+    one at a time, so tasks of unequal cost still keep every process busy.
+    The results come back in index order, and the JerkmeterError of the
+    lowest failing index is raised: what the list comprehension gives.
+    """
+    import multiprocessing
+
+    fork = "fork" in multiprocessing.get_all_start_methods()
+    workers = _worker_count(workers, total) if fork else 1
+    ctx = multiprocessing.get_context("fork" if fork else None)
+    counter = ctx.Value("q", 0)
+
+    def child(writer):
+        writer.send(_claim(evaluate, counter, total))
+
+    children = []
+    try:
+        for _ in range(workers - 1):
+            reader, writer = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=child, args=(writer,))
+            proc.start()
+            writer.close()  # so `recv` sees EOF if the child dies
+            children.append((proc, reader))
+        results = _claim(evaluate, counter, total)
+        for proc, reader in children:
+            try:
+                results += reader.recv()
+            except EOFError:
+                proc.join()
+                raise JerkmeterError(
+                    f"a search worker exited with code {proc.exitcode} "
+                    "before reporting its results") from None
+            proc.join()
+    finally:
+        for proc, reader in children:
+            proc.terminate()  # no-op for a child already joined
+            proc.join()
+            reader.close()
+    results.sort(key=lambda item: item[0])
+    for _, value in results:
+        if isinstance(value, JerkmeterError):
+            raise value
+    return [value for _, value in results]
+
+
 def exhaustive_search(samples: Sequence[TrainingSample],
-                      config: SearchConfig) -> SearchResult:
-    """Evaluate every admissible structure by CV; retrain the winner on all data."""
+                      config: SearchConfig, workers: int = 1) -> SearchResult:
+    """Evaluate every admissible structure by CV; retrain the winner on all data.
+
+    Up to `workers` processes share the structures; the result is the same
+    for any count.
+    """
+    if workers < 1:
+        raise ConfigError("need at least one worker")
     if len(samples) < config.folds:
         raise ConfigError(
             f"{len(samples)} samples cannot fill {config.folds} folds")
@@ -521,9 +611,13 @@ def exhaustive_search(samples: Sequence[TrainingSample],
         derived_seed(config.rng_seed, _NS_FOLDS),
         groups=[s.source_id for s in samples] if config.group_by_source else None,
     )
-    errors = [cross_validate(samples, subset, m, config, folds=folds,
-                             seed=derived_seed(config.rng_seed, _NS_COMBO, i))
-              for i, (subset, m) in enumerate(combos)]
+
+    def evaluate(i):
+        subset, m = combos[i]
+        return cross_validate(samples, subset, m, config, folds=folds,
+                              seed=derived_seed(config.rng_seed, _NS_COMBO, i))
+
+    errors = _claimed_map(evaluate, len(combos), workers)
 
     order = sorted(range(len(combos)), key=lambda i: (errors[i], i))
     ranking = tuple(

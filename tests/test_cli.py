@@ -209,6 +209,14 @@ class TestExitCodes:
     def test_help_exits_zero(self):
         assert run(["--help"]) == 0
 
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_threads_below_one_is_usage_error(self, tmp_path, capsys, threads):
+        capsys.readouterr()
+        assert run(["train", "--data", str(tmp_path / "none.csv"),
+                    "--out", str(tmp_path / "m.json"),
+                    "--threads", threads]) == 1
+        assert "--threads" in capsys.readouterr().err
+
 
 def write_feature_csv(path, rng, count=20):
     rows = []

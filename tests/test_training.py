@@ -1,6 +1,9 @@
 import hashlib
 import itertools
 import math
+import os
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from jerkmeter import (
     FEATURE_NAMES,
     ConfigError,
     FeatureVector,
+    JerkmeterError,
     LMConfig,
     NumericalFailure,
     SearchConfig,
@@ -570,6 +574,115 @@ class TestExhaustiveSearch:
             "rank,features,hidden_nodes,cv_error,param_count\n"
             "1,NumFz+rFD,2,0.125,9\n"
             "2,AvgFzDur,1,0.30000000000000004,4\n")
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Set how many CPUs the search may use, whatever this machine has."""
+    def use(count):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(count)), raising=False)
+    return use
+
+
+def structure_index(seed):
+    """The enumeration index `exhaustive_search` derived a CV seed from."""
+    return seed.spawn_key[-1]
+
+
+class TestWorkers:
+    """The search split over processes gives what one process gives."""
+
+    @pytest.mark.parametrize("grouped", [False, True])
+    def test_two_workers_give_the_same_bytes(self, cpus, grouped):
+        cpus(2)
+        samples = make_samples(
+            np.random.default_rng(77), 24,
+            lambda f: np.tanh(f["NumFz"] - 1.5) + 0.3 * f["rFD"], noise=0.05)
+        # Mixed hidden counts, so structures differ in cost.
+        cfg = SearchConfig(hidden_range=(1, 2, 3), subset_sizes=(1, 2),
+                           folds=4, rng_seed=9, group_by_source=grouped,
+                           lm=LMConfig(max_iters=15, restarts=2))
+        one = exhaustive_search(samples, cfg, workers=1)
+        two = exhaustive_search(samples, cfg, workers=2)
+        assert two.ranking_csv() == one.ranking_csv()
+        assert save_model(two.model) == save_model(one.model)
+
+    def test_lowest_failing_structure_wins(self, cpus, monkeypatch, rng):
+        cpus(2)
+
+        def fake(samples, features, m, config, folds=None, seed=None):
+            i = structure_index(seed)
+            if i == 3:
+                time.sleep(0.3)  # let structure 5 fail first
+                raise NumericalFailure("structure 3")
+            if i == 5:
+                raise NumericalFailure("structure 5")
+            return float(i)
+
+        monkeypatch.setattr(training, "cross_validate", fake)
+        samples = make_samples(rng, 10, lambda f: 0.0)
+        cfg = SearchConfig(hidden_range=(1,), subset_sizes=(1,), folds=2)
+        for workers in (1, 2):
+            with pytest.raises(NumericalFailure, match="^structure 3$"):
+                exhaustive_search(samples, cfg, workers=workers)
+
+    def test_worker_dying_without_a_result_is_an_error(
+            self, cpus, monkeypatch, rng, tmp_path):
+        cpus(2)
+        caller = os.getpid()
+        marker = tmp_path / "claimed"
+
+        def fake(samples, features, m, config, folds=None, seed=None):
+            if os.getpid() != caller:
+                marker.touch()
+                os._exit(1)
+            # Hold the first structure until the child has claimed one.
+            deadline = time.monotonic() + 30
+            while not marker.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            return 1.0
+
+        def too_slow(signum, frame):
+            raise TimeoutError("the search hung on a dead worker")
+
+        monkeypatch.setattr(training, "cross_validate", fake)
+        samples = make_samples(rng, 10, lambda f: 0.0)
+        cfg = SearchConfig(hidden_range=(1,), subset_sizes=(1,), folds=2)
+        previous = signal.signal(signal.SIGALRM, too_slow)
+        signal.alarm(60)
+        try:
+            with pytest.raises(JerkmeterError, match="exited with code 1"):
+                exhaustive_search(samples, cfg, workers=2)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert marker.exists()
+
+    def test_more_workers_than_cores_evaluate_each_index_once(self, cpus):
+        cpus(4)
+
+        def evaluate(i):
+            time.sleep(0.002)
+            return i, os.getpid()
+
+        got = training._claimed_map(evaluate, 300, 4)
+        assert [i for i, _ in got] == list(range(300))
+        assert len({pid for _, pid in got}) > 1
+
+    def test_worker_count_is_capped_without_starting_processes(self, cpus):
+        cpus(2)
+        assert training._worker_count(10**6, 14) == 2
+        assert training._worker_count(10**6, 1) == 1
+        assert training._worker_count(1, 14) == 1
+        cpus(64)
+        assert training._worker_count(10**6, 14) == 14
+
+    def test_no_workers_is_a_config_error(self, rng):
+        samples = make_samples(rng, 10, lambda f: 0.0)
+        cfg = SearchConfig(hidden_range=(1,), subset_sizes=(1,), folds=2)
+        with pytest.raises(ConfigError):
+            exhaustive_search(samples, cfg, workers=0)
 
 
 class TestNormalizationHelpers:
