@@ -52,14 +52,6 @@ from .video_io import ChromaFormat, VideoHeader, VideoSequence, Y4MReader, write
 
 JSON_SCHEMA = 1
 
-_CHROMA_CHOICES = {
-    "420": ChromaFormat.C420,
-    "422": ChromaFormat.C422,
-    "444": ChromaFormat.C444,
-    "mono": ChromaFormat.MONO,
-}
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse exits with 2 on bad flags; the contract wants 1."""
 
@@ -131,7 +123,7 @@ def _open_video(path: str, args) -> Iterator[Y4MReader]:
         width, height = _parse_size(args.size)
         fps_num, fps_den = _parse_fps(args.fps)
         header = VideoHeader(width=width, height=height, fps_num=fps_num,
-                             fps_den=fps_den, chroma=_CHROMA_CHOICES[args.chroma])
+                             fps_den=fps_den, chroma=ChromaFormat(args.chroma))
     with open(path, "rb") as handle:
         yield Y4MReader(handle, header)
 
@@ -388,7 +380,7 @@ def _build_parser() -> _Parser:
                            help="WxH, required for raw YUV input")
     raw_input.add_argument("--fps", default="25:1",
                            help="N or N:D frame rate for raw input")
-    raw_input.add_argument("--chroma", choices=sorted(_CHROMA_CHOICES),
+    raw_input.add_argument("--chroma", choices=[c.value for c in ChromaFormat],
                            default="420", help="chroma layout of raw input")
 
     detector = _Parser(add_help=False)
@@ -458,10 +450,10 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("train", parents=[common, detector],
                        help="fit a model from annotated samples")
     p.add_argument("--data", required=True, help="sample CSV")
-    p.add_argument("--subset-sizes", default="4,5,6,7")
-    p.add_argument("--hidden", default="1,2,3,4")
-    p.add_argument("--folds", type=int, default=10)
-    p.add_argument("--cap", type=int, default=52,
+    p.add_argument("--subset-sizes", default=",".join(map(str, SearchConfig.subset_sizes)))
+    p.add_argument("--hidden", default=",".join(map(str, SearchConfig.hidden_range)))
+    p.add_argument("--folds", type=int, default=SearchConfig.folds)
+    p.add_argument("--cap", type=int, default=SearchConfig.sample_count_cap,
                    help="strict upper bound on trainable weights")
     p.add_argument("--group-by-source", action="store_true",
                    help="keep samples of one source video in one fold")

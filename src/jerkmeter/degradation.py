@@ -1,11 +1,12 @@
 """Freeze-artifact injection and synthetic test content.
 
-Two artifact kinds are produced. A "loss" freeze overwrites a span of
-frames with the last good frame; when playback resumes the content has
-moved on, so the first post-freeze transition spikes. A "delay" freeze
-pauses playback by inserting duplicates and drops the same number of
-frames from the tail, so playback resumes with the very next frame and
-the post-freeze transition looks like ordinary motion.
+Two artifact kinds are produced, and they differ only in where the
+source resumes after a freeze. Both show the last good frame for the
+event's duration. A "loss" freeze resumes after the frozen span, whose
+content is skipped, so the first post-freeze transition spikes. A
+"delay" freeze resumes with the very next frame, so the post-freeze
+transition looks like ordinary motion and the tail is dropped to keep
+the length.
 
 Both return the exact ground-truth timeline, which is what the detection
 and feature acceptance suites score against.
@@ -33,10 +34,17 @@ class FreezePlan:
     kind: FreezeKind
     # (start_frame, duration) pairs in source-frame indexing.
     events: list[tuple[int, int]]
-    truth_path: str | None = None
 
-    def validate(self, frame_count: int) -> None:
-        prev_end = 0
+    def frame_map(self, frame_count: int) -> tuple[list[int], list[FreezeEvent]]:
+        """The source frame shown at each output frame, and the ground-truth events.
+
+        Each event shows source frame ``start - 1`` for ``duration`` frames,
+        then resumes at ``start + duration`` (loss) or ``start`` (delay).
+        The output keeps `frame_count` frames; an event must fit in them.
+        """
+        index: list[int] = []
+        events: list[FreezeEvent] = []
+        consumed = prev_end = 0
         for start, duration in self.events:
             if duration < MIN_EVENT_FRAMES:
                 raise PlanError(f"event at {start} shorter than {MIN_EVENT_FRAMES} frames")
@@ -44,20 +52,15 @@ class FreezePlan:
                 raise PlanError("events must start at frame 1 or later")
             if start <= prev_end:
                 raise PlanError("events must be sorted with at least one clean frame between")
-            if self.kind is FreezeKind.LOSS and start + duration > frame_count:
+            index.extend(range(consumed, start))
+            if len(index) + duration > frame_count:
                 raise PlanError(f"event at {start} runs past frame {frame_count - 1}")
+            events.append(FreezeEvent(len(index), duration))
+            index.extend([start - 1] * duration)
             prev_end = start + duration
-        if self.kind is FreezeKind.DELAY:
-            inserted = sum(d for _, d in self.events)
-            if inserted > frame_count - 1:
-                raise PlanError("inserted duplicates exceed the sequence length")
-            shift = 0
-            for start, duration in self.events:
-                if start + shift + duration > frame_count:
-                    raise PlanError(
-                        f"event at {start} would be cut off by end truncation"
-                    )
-                shift += duration
+            consumed = prev_end if self.kind is FreezeKind.LOSS else start
+        index.extend(range(consumed, frame_count))
+        return index[:frame_count], events
 
 
 def inject_loss_freeze(seq: VideoSequence, plan: FreezePlan
@@ -65,19 +68,7 @@ def inject_loss_freeze(seq: VideoSequence, plan: FreezePlan
     """Replace each planned span with its preceding frame (length unchanged)."""
     if plan.kind is not FreezeKind.LOSS:
         raise PlanError(f"plan kind is {plan.kind.value}, expected loss")
-    plan.validate(seq.frame_count)
-    frames = list(seq.frames)
-    chroma = list(seq.chroma)
-    for start, duration in plan.events:
-        for i in range(start, start + duration):
-            frames[i] = frames[start - 1]
-            chroma[i] = chroma[start - 1]
-    truth = FreezeTimeline(
-        events=[FreezeEvent(s, d) for s, d in plan.events],
-        frame_count=seq.frame_count,
-        fps=seq.header.fps,
-    )
-    return VideoSequence(seq.header, frames, chroma), truth
+    return inject(seq, plan)
 
 
 def inject_delay_freeze(seq: VideoSequence, plan: FreezePlan
@@ -89,33 +80,16 @@ def inject_delay_freeze(seq: VideoSequence, plan: FreezePlan
     """
     if plan.kind is not FreezeKind.DELAY:
         raise PlanError(f"plan kind is {plan.kind.value}, expected delay")
-    plan.validate(seq.frame_count)
-    frames: list[LumaFrame] = []
-    chroma: list[bytes] = []
-    truth_events: list[FreezeEvent] = []
-    consumed = 0
-    shift = 0
-    for start, duration in plan.events:
-        frames.extend(seq.frames[consumed:start])
-        chroma.extend(seq.chroma[consumed:start])
-        frames.extend([seq.frames[start - 1]] * duration)
-        chroma.extend([seq.chroma[start - 1]] * duration)
-        truth_events.append(FreezeEvent(start + shift, duration))
-        consumed = start
-        shift += duration
-    frames.extend(seq.frames[consumed:])
-    chroma.extend(seq.chroma[consumed:])
-    frames = frames[: seq.frame_count]
-    chroma = chroma[: seq.frame_count]
-    truth = FreezeTimeline(events=truth_events, frame_count=seq.frame_count,
-                           fps=seq.header.fps)
-    return VideoSequence(seq.header, frames, chroma), truth
+    return inject(seq, plan)
 
 
 def inject(seq: VideoSequence, plan: FreezePlan) -> tuple[VideoSequence, FreezeTimeline]:
-    if plan.kind is FreezeKind.LOSS:
-        return inject_loss_freeze(seq, plan)
-    return inject_delay_freeze(seq, plan)
+    """Apply `plan` through its frame map; duplicates share one frame object."""
+    index, events = plan.frame_map(seq.frame_count)
+    truth = FreezeTimeline(events=events, frame_count=seq.frame_count,
+                           fps=seq.header.fps)
+    return VideoSequence(seq.header, [seq.frames[i] for i in index],
+                         [seq.chroma[i] for i in index]), truth
 
 
 def gradient_video(frame_count: int, width: int = 64, height: int = 64,

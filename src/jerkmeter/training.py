@@ -421,6 +421,15 @@ def make_folds(n: int, k: int, seed: np.random.SeedSequence,
     return [np.sort(np.array(f, dtype=np.intp)) for f in folds]
 
 
+def _search_folds(samples: Sequence[TrainingSample], config: SearchConfig
+                  ) -> list[np.ndarray]:
+    """The folds of `config`'s search, shared by every structure's CV."""
+    return make_folds(
+        len(samples), config.folds, derived_seed(config.rng_seed, _NS_FOLDS),
+        groups=[s.source_id for s in samples] if config.group_by_source else None,
+    )
+
+
 def cross_validate(samples: Sequence[TrainingSample],
                    selected_features: Sequence[str], m: int,
                    config: SearchConfig,
@@ -436,11 +445,7 @@ def cross_validate(samples: Sequence[TrainingSample],
             f"{len(samples)} samples cannot fill {config.folds} folds")
     x_raw, y = design_matrix(samples, selected_features)
     if folds is None:
-        folds = make_folds(
-            len(samples), config.folds,
-            derived_seed(config.rng_seed, _NS_FOLDS),
-            groups=[s.source_id for s in samples] if config.group_by_source else None,
-        )
+        folds = _search_folds(samples, config)
     if seed is None:
         seed = derived_seed(config.rng_seed, _NS_COMBO, 0)
     fold_seeds = _children(seed, len(folds))
@@ -550,11 +555,12 @@ def _claimed_map(evaluate, total: int, workers: int) -> list:
     The results come back in index order, and the JerkmeterError of the
     lowest failing index is raised: what the list comprehension gives.
     """
+    workers = _worker_count(workers, total) if hasattr(os, "fork") else 1
+    if workers <= 1:
+        return [evaluate(i) for i in range(total)]
     import multiprocessing
 
-    fork = "fork" in multiprocessing.get_all_start_methods()
-    workers = _worker_count(workers, total) if fork else 1
-    ctx = multiprocessing.get_context("fork" if fork else None)
+    ctx = multiprocessing.get_context("fork")
     counter = ctx.Value("q", 0)
 
     def child(writer):
@@ -606,11 +612,7 @@ def exhaustive_search(samples: Sequence[TrainingSample],
     if not combos:
         raise ConfigError("no (features, hidden nodes) combination passes "
                           "the capacity bound")
-    folds = make_folds(
-        len(samples), config.folds,
-        derived_seed(config.rng_seed, _NS_FOLDS),
-        groups=[s.source_id for s in samples] if config.group_by_source else None,
-    )
+    folds = _search_folds(samples, config)
 
     def evaluate(i):
         subset, m = combos[i]

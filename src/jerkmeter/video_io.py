@@ -140,10 +140,9 @@ class VideoSequence:
             raise ValueError("chroma list must be parallel to frames")
 
     @classmethod
-    def from_luma(cls, header: VideoHeader, frames: list[LumaFrame],
-                  chroma_fill: int = 128) -> "VideoSequence":
-        """Build a sequence with flat chroma planes (for synthetic video)."""
-        plane = bytes([chroma_fill]) * header.chroma_size
+    def from_luma(cls, header: VideoHeader, frames: list[LumaFrame]) -> "VideoSequence":
+        """Build a sequence with flat mid-grey (128) chroma, for synthetic video."""
+        plane = b"\x80" * header.chroma_size
         return cls(header=header, frames=list(frames), chroma=[plane] * len(frames))
 
     @classmethod

@@ -1,19 +1,101 @@
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from jerkmeter import (
     FreezeEvent,
     FreezeKind,
     FreezePlan,
+    FreezeTimeline,
+    LumaFrame,
     PlanError,
+    VideoHeader,
+    VideoSequence,
     add_capture_noise,
     analyze,
     compute_series,
     gradient_video,
+    inject,
     inject_delay_freeze,
     inject_loss_freeze,
     score_detection,
 )
+from jerkmeter.freeze_detection import MIN_EVENT_FRAMES
+
+
+def reference_validate(plan, frame_count):
+    """The per-kind plan rules, written out one by one."""
+    prev_end = 0
+    for start, duration in plan.events:
+        if duration < MIN_EVENT_FRAMES:
+            raise PlanError("too short")
+        if start < 1:
+            raise PlanError("starts before frame 1")
+        if start <= prev_end:
+            raise PlanError("unsorted or no clean frame between")
+        if plan.kind is FreezeKind.LOSS and start + duration > frame_count:
+            raise PlanError("runs past the last frame")
+        prev_end = start + duration
+    if plan.kind is FreezeKind.DELAY:
+        if sum(d for _, d in plan.events) > frame_count - 1:
+            raise PlanError("inserted duplicates exceed the sequence length")
+        shift = 0
+        for start, duration in plan.events:
+            if start + shift + duration > frame_count:
+                raise PlanError("cut off by end truncation")
+            shift += duration
+
+
+def reference_inject(seq, plan):
+    """Loss overwrites spans in place; delay inserts duplicates, cuts the tail."""
+    reference_validate(plan, seq.frame_count)
+    if plan.kind is FreezeKind.LOSS:
+        frames, chroma = list(seq.frames), list(seq.chroma)
+        for start, duration in plan.events:
+            for i in range(start, start + duration):
+                frames[i] = frames[start - 1]
+                chroma[i] = chroma[start - 1]
+        events = [FreezeEvent(s, d) for s, d in plan.events]
+    else:
+        frames, chroma, events = [], [], []
+        consumed = shift = 0
+        for start, duration in plan.events:
+            frames += seq.frames[consumed:start] + [seq.frames[start - 1]] * duration
+            chroma += seq.chroma[consumed:start] + [seq.chroma[start - 1]] * duration
+            events.append(FreezeEvent(start + shift, duration))
+            consumed = start
+            shift += duration
+        frames = (frames + seq.frames[consumed:])[: seq.frame_count]
+        chroma = (chroma + seq.chroma[consumed:])[: seq.frame_count]
+    truth = FreezeTimeline(events=events, frame_count=seq.frame_count, fps=seq.header.fps)
+    return VideoSequence(seq.header, frames, chroma), truth
+
+
+def numbered_clip(count):
+    """Tiny 4:2:0 clip whose every frame, luma and chroma, is distinct."""
+    header = VideoHeader(width=4, height=2, fps_num=25, fps_den=1)
+    frames = [LumaFrame(4, 2, np.full((2, 4), i, dtype=np.uint8)) for i in range(count)]
+    chroma = [bytes([255 - i]) * header.chroma_size for i in range(count)]
+    return VideoSequence(header, frames, chroma)
+
+
+@st.composite
+def plans(draw):
+    """A clip length and a plan, often with short events that (almost) touch."""
+    n = draw(st.integers(1, 30))
+    events, prev_end = [], 0
+    for _ in range(draw(st.integers(0, 4))):
+        if draw(st.booleans()):
+            start = min(prev_end + draw(st.integers(-1, 2)), n + 2)
+        else:
+            start = draw(st.integers(-1, n + 2))
+        duration = draw(st.one_of(st.integers(0, min(n, 3)), st.integers(0, n)))
+        events.append((start, duration))
+        prev_end = start + duration
+    if draw(st.booleans()):
+        events.sort()
+    return n, FreezePlan(draw(st.sampled_from(FreezeKind)), events)
 
 
 class TestGradientVideo:
@@ -189,3 +271,34 @@ class TestCaptureNoise:
         series = compute_series(noisy)
         assert series.values[3] > 0.0
         assert series.values[3] < 0.05  # still far below the detection floor
+
+
+class TestFrameMap:
+    """`inject`'s one frame map against the per-kind loops it replaced."""
+
+    @seed(20261018)
+    @settings(max_examples=600, deadline=None)
+    @given(case=plans())
+    def test_matches_the_per_kind_reference(self, case):
+        n, plan = case
+        src = numbered_clip(n)
+        try:
+            want = reference_inject(src, plan)
+        except Exception as exc:
+            with pytest.raises(Exception) as got:
+                inject(src, plan)
+            assert type(got.value) is type(exc)
+            return
+        got_seq, got_truth = inject(src, plan)
+        want_seq, want_truth = want
+        assert got_seq.frames == want_seq.frames
+        assert got_seq.chroma == want_seq.chroma
+        assert got_truth == want_truth
+
+    def test_delay_gap_is_counted_in_source_frames(self):
+        # In output frames the events would be (3, 2) and (6, 2), which a
+        # timeline accepts; in source frames 4 starts inside the first one.
+        src = gradient_video(12, 64, 8)
+        with pytest.raises(PlanError):
+            inject_delay_freeze(src, FreezePlan(FreezeKind.DELAY, [(3, 2), (4, 2)]))
+        FreezeTimeline([FreezeEvent(3, 2), FreezeEvent(6, 2)], frame_count=12)

@@ -3,6 +3,8 @@ import itertools
 import math
 import os
 import signal
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -683,6 +685,30 @@ class TestWorkers:
         cfg = SearchConfig(hidden_range=(1,), subset_sizes=(1,), folds=2)
         with pytest.raises(ConfigError):
             exhaustive_search(samples, cfg, workers=0)
+
+
+def test_one_worker_starts_no_multiprocessing():
+    # A fresh interpreter, since this one may have run a multi-worker search.
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from jerkmeter import (FEATURE_NAMES, LMConfig, SearchConfig,\n"
+        "                       TrainingSample, exhaustive_search)\n"
+        "rng = np.random.default_rng(3)\n"
+        "samples = [TrainingSample(\n"
+        "    features={n: float(rng.uniform(0, 3)) for n in FEATURE_NAMES},\n"
+        "    dmos=float(rng.normal()), source_id='a', sample_id=f's{i}')\n"
+        "    for i in range(10)]\n"
+        "cfg = SearchConfig(hidden_range=(1,), subset_sizes=(1,), folds=2,\n"
+        "                   lm=LMConfig(max_iters=3, restarts=1))\n"
+        "exhaustive_search(samples, cfg, workers=1)\n"
+        "assert 'multiprocessing' not in sys.modules, 'multiprocessing imported'\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(training.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestNormalizationHelpers:
