@@ -44,7 +44,7 @@ from .quality_model import default_model, load_model, save_model, score_features
 from .training import (
     LMConfig,
     SearchConfig,
-    TrainingSample,
+    _finite_float,
     exhaustive_search,
     load_samples_csv,
 )
@@ -60,57 +60,38 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+# Flag value parsers: a ValueError becomes argparse's usage error naming
+# the flag, which exits 1.
+
 def _parse_size(text: str) -> tuple[int, int]:
-    try:
-        w, h = text.lower().split("x")
-        return int(w), int(h)
-    except ValueError:
-        raise ConfigError(f"--size expects WxH, got {text!r}")
+    w, h = text.lower().split("x")
+    return int(w), int(h)
 
 
 def _parse_fps(text: str) -> tuple[int, int]:
-    try:
-        if ":" in text:
-            num, den = text.split(":")
-            return int(num), int(den)
-        return int(text), 1
-    except ValueError:
-        raise ConfigError(f"--fps expects N or N:D, got {text!r}")
+    num, sep, den = text.partition(":")
+    return int(num), int(den) if sep else 1
 
 
 def _parse_events(text: str) -> list[tuple[int, int]]:
     events = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        try:
-            start, duration = part.split(":")
-            events.append((int(start), int(duration)))
-        except ValueError:
-            raise ConfigError(
-                f"--events expects start:duration pairs, got {part!r}")
+    for part in filter(str.strip, text.split(",")):
+        start, duration = part.split(":")
+        events.append((int(start), int(duration)))
     if not events:
-        raise ConfigError("--events lists no events")
+        raise ValueError("no events")
     return events
 
 
 def _parse_threads(text: str) -> int:
-    try:
-        threads = int(text)
-    except ValueError:
-        threads = 0
+    threads = int(text)
     if threads < 1:
-        raise ConfigError(f"--threads expects a whole number of at least 1, "
-                          f"got {text!r}")
+        raise ValueError(text)
     return threads
 
 
-def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(p) for p in text.split(",") if p.strip())
-    except ValueError:
-        raise ConfigError(f"{flag} expects comma-separated integers, got {text!r}")
+def _parse_int_list(text: str) -> tuple[int, ...]:
+    return tuple(int(p) for p in text.split(",") if p.strip())
 
 
 @contextlib.contextmanager
@@ -118,10 +99,9 @@ def _open_video(path: str, args) -> Iterator[Y4MReader]:
     """Stream the input clip: Y4M by extension, else raw YUV per --size."""
     header = None
     if not path.lower().endswith(".y4m"):
-        if getattr(args, "size", None) is None:
+        if args.size is None:
             raise ConfigError("raw YUV input requires --size WxH")
-        width, height = _parse_size(args.size)
-        fps_num, fps_den = _parse_fps(args.fps)
+        (width, height), (fps_num, fps_den) = args.size, args.fps
         header = VideoHeader(width=width, height=height, fps_num=fps_num,
                              fps_den=fps_den, chroma=ChromaFormat(args.chroma))
     with open(path, "rb") as handle:
@@ -150,13 +130,15 @@ def _timeline_doc(timeline: FreezeTimeline) -> dict:
     }
 
 
-def _timeline_from_doc(doc: dict) -> FreezeTimeline:
+def _timeline_from_doc(handle) -> FreezeTimeline:
+    """The timeline of a truth JSON file; any malformation is a ConfigError."""
     try:
+        doc = json.load(handle)
         events = [FreezeEvent(int(ev["start_frame"]), int(ev["duration"]))
                   for ev in doc["events"]]
         return FreezeTimeline(events=events, frame_count=int(doc["frame_count"]),
                               fps=float(doc.get("fps", 0.0)))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise ConfigError(f"malformed truth file: {exc}")
 
 
@@ -170,10 +152,10 @@ def _emit(args, doc: dict, human) -> None:
 # --- subcommand bodies ----------------------------------------------------
 
 def _cmd_synth(args) -> int:
-    width, height = _parse_size(args.size)
+    width, height = args.size
     seq = gradient_video(
         frame_count=args.frames, width=width, height=height,
-        fps=_parse_fps(args.fps), noise=args.noise, seed=args.seed,
+        fps=args.fps, noise=args.noise, seed=args.seed,
         velocity=args.velocity,
     )
     with open(args.out, "wb") as handle:
@@ -185,8 +167,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_degrade(args) -> int:
-    events = _parse_events(args.events)
-    plan = FreezePlan(kind=FreezeKind(args.kind), events=events)
+    plan = FreezePlan(kind=FreezeKind(args.kind), events=args.events)
     with _open_video(args.input, args) as reader:
         seq = VideoSequence.from_reader(reader)
     degraded, truth = inject(seq, plan)
@@ -237,7 +218,7 @@ def _cmd_detect(args) -> int:
     }
     if args.truth:
         with open(args.truth, encoding="utf-8") as handle:
-            truth = _timeline_from_doc(json.load(handle))
+            truth = _timeline_from_doc(handle)
         report = score_detection(timeline, truth)
         doc["report"] = {
             "total_true": report.total_true,
@@ -303,8 +284,8 @@ def _cmd_train(args) -> int:
     samples = load_samples_csv(args.data, detector_config=_detector_config(args))
     lm = LMConfig(max_iters=args.lm_max_iters, restarts=args.lm_restarts)
     config = SearchConfig(
-        hidden_range=_parse_int_list(args.hidden, "--hidden"),
-        subset_sizes=_parse_int_list(args.subset_sizes, "--subset-sizes"),
+        hidden_range=args.hidden,
+        subset_sizes=args.subset_sizes,
         folds=args.folds,
         sample_count_cap=args.cap,
         rng_seed=args.seed,
@@ -368,26 +349,26 @@ def _cmd_eval(args) -> int:
 
 def _build_parser() -> _Parser:
     common = _Parser(add_help=False)
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for every random choice (default 0)")
-    common.add_argument("--threads", type=_parse_threads, default=1,
-                        help="worker processes for train (default 1)")
     common.add_argument("--json", action="store_true",
                         help="machine-readable JSON on stdout")
 
+    seeded = _Parser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0,
+                        help="seed for every random choice (default 0)")
+
     raw_input = _Parser(add_help=False)
-    raw_input.add_argument("--size", default=None,
+    raw_input.add_argument("--size", type=_parse_size, default=None,
                            help="WxH, required for raw YUV input")
-    raw_input.add_argument("--fps", default="25:1",
+    raw_input.add_argument("--fps", type=_parse_fps, default="25:1",
                            help="N or N:D frame rate for raw input")
     raw_input.add_argument("--chroma", choices=[c.value for c in ChromaFormat],
                            default="420", help="chroma layout of raw input")
 
     detector = _Parser(add_help=False)
-    detector.add_argument("--epsilon-abs", type=float,
+    detector.add_argument("--epsilon-abs", type=_finite_float,
                           default=DetectorConfig.epsilon_abs,
                           help="absolute freeze threshold floor")
-    detector.add_argument("--rel-factor", type=float,
+    detector.add_argument("--rel-factor", type=_finite_float,
                           default=DetectorConfig.rel_factor,
                           help="fraction of robust background motion")
 
@@ -397,26 +378,25 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
 
-    p = sub.add_parser("synth", parents=[common],
+    p = sub.add_parser("synth", parents=[common, seeded],
                        help="generate a synthetic clip")
-    p.add_argument("--pattern", choices=["gradient"], default="gradient")
     p.add_argument("--frames", type=int, required=True)
-    p.add_argument("--size", default="64x64")
-    p.add_argument("--fps", default="25:1")
-    p.add_argument("--noise", type=float, default=0.0,
+    p.add_argument("--size", type=_parse_size, default="64x64")
+    p.add_argument("--fps", type=_parse_fps, default="25:1")
+    p.add_argument("--noise", type=_finite_float, default=0.0,
                    help="density of +/-1 pixel perturbations per frame")
     p.add_argument("--velocity", type=int, default=1,
                    help="pixels of motion per frame")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_synth)
 
-    p = sub.add_parser("degrade", parents=[common, raw_input],
+    p = sub.add_parser("degrade", parents=[common, seeded, raw_input],
                        help="inject freeze events")
     p.add_argument("input")
-    p.add_argument("--kind", choices=["loss", "delay"], required=True)
-    p.add_argument("--events", required=True,
+    p.add_argument("--kind", choices=[k.value for k in FreezeKind], required=True)
+    p.add_argument("--events", type=_parse_events, required=True,
                    help="comma-separated start:duration pairs")
-    p.add_argument("--capture-noise", type=float, default=0.0,
+    p.add_argument("--capture-noise", type=_finite_float, default=0.0,
                    help="density of +/-1 perturbations applied after injection")
     p.add_argument("--out", required=True)
     p.add_argument("--truth", default=None,
@@ -447,11 +427,15 @@ def _build_parser() -> _Parser:
                    help="model JSON (bundled default if omitted)")
     p.set_defaults(func=_cmd_score)
 
-    p = sub.add_parser("train", parents=[common, detector],
+    p = sub.add_parser("train", parents=[common, seeded, detector],
                        help="fit a model from annotated samples")
     p.add_argument("--data", required=True, help="sample CSV")
-    p.add_argument("--subset-sizes", default=",".join(map(str, SearchConfig.subset_sizes)))
-    p.add_argument("--hidden", default=",".join(map(str, SearchConfig.hidden_range)))
+    p.add_argument("--threads", type=_parse_threads, default=1,
+                   help="worker processes of the structure search (default 1)")
+    p.add_argument("--subset-sizes", type=_parse_int_list,
+                   default=SearchConfig.subset_sizes)
+    p.add_argument("--hidden", type=_parse_int_list,
+                   default=SearchConfig.hidden_range)
     p.add_argument("--folds", type=int, default=SearchConfig.folds)
     p.add_argument("--cap", type=int, default=SearchConfig.sample_count_cap,
                    help="strict upper bound on trainable weights")
@@ -469,7 +453,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--data", required=True, help="sample CSV")
     p.add_argument("--model", default=None,
                    help="model JSON (bundled default if omitted)")
-    p.add_argument("--range", type=float, default=None,
+    p.add_argument("--range", type=_finite_float, default=None,
                    help="score range for rRMSE (default: observed)")
     p.set_defaults(func=_cmd_eval)
 

@@ -143,16 +143,14 @@ class VideoAnalysis:
 
 
 def analyze(source: Iterable[LumaFrame],
-            config: DetectorConfig | None = None,
-            fps: float = 0.0) -> VideoAnalysis:
+            config: DetectorConfig | None = None) -> VideoAnalysis:
     """Full pipeline: differences, detection, features, in one pass.
 
     ``source`` is a ``VideoSequence``, a ``Y4MReader`` or any frame
-    iterable; when it carries a ``header``, its frame rate overrides ``fps``.
+    iterable; the frame rate is its ``header``'s if it has one, else 0.
     """
     header = getattr(source, "header", None)
-    if header is not None:
-        fps = header.fps
+    fps = header.fps if header is not None else 0.0
     series = compute_series(source)
     timeline = detect_freezes(series, config=config, fps=fps)
     return VideoAnalysis(series=series, timeline=timeline,

@@ -173,11 +173,9 @@ def _float_list(doc: dict, key: str, values: object) -> list[float]:
 
 
 def load_model(data: bytes | str) -> QualityModel:
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
     try:
-        doc = json.loads(data)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or too deep
         raise ModelFormatError("document", f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ModelFormatError("document", "top level must be an object")

@@ -23,6 +23,7 @@ processes ran or which one evaluated what.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import math
 import os
@@ -65,20 +66,10 @@ class TrainingSample:
 
 @dataclass(frozen=True)
 class LMConfig:
-    lambda_init: float = 1e-3
-    lambda_up: float = 10.0
-    lambda_down: float = 0.1
     max_iters: int = 500
-    tol_grad: float = 1e-8
-    tol_step: float = 1e-10
-    init_scale: float = 0.5
     restarts: int = 5
 
     def __post_init__(self):
-        if min(self.lambda_init, self.tol_grad, self.tol_step, self.init_scale) <= 0:
-            raise ConfigError("LM thresholds and scales must be positive")
-        if not (self.lambda_down < 1.0 < self.lambda_up):
-            raise ConfigError("need lambda_down < 1 < lambda_up")
         if self.max_iters < 1 or self.restarts < 1:
             raise ConfigError("max_iters and restarts must be at least 1")
 
@@ -173,6 +164,16 @@ def _jacobian(x1: np.ndarray, h: np.ndarray, v: np.ndarray,
     out[..., m * k: -1] = h
     return out
 
+# Every fit starts from weights uniform in +/-_INIT_SCALE with damping
+# _LAMBDA_INIT, which a rejected step multiplies by _LAMBDA_UP and an
+# accepted one by _LAMBDA_DOWN. It stops once the gradient is below
+# _TOL_GRAD or a step is below _TOL_STEP relative to the weights.
+_INIT_SCALE = 0.5
+_LAMBDA_INIT = 1e-3
+_LAMBDA_UP = 10.0
+_LAMBDA_DOWN = 0.1
+_TOL_GRAD = 1e-8
+_TOL_STEP = 1e-10
 # Damping this large with still no acceptable step means the fit is stuck
 # at numerical resolution; treat as converged rather than looping. The floor
 # keeps the damped system comfortably non-singular near a minimum.
@@ -259,11 +260,11 @@ def _lm_batch(xs: Sequence[np.ndarray], ys: Sequence[np.ndarray], m: int,
     # State of the unfinished problems, one row each; `ids` numbers them.
     ids = np.arange(total)
     w = np.stack([np.random.default_rng(s).uniform(
-        -cfg.init_scale, cfg.init_scale, size=p)
+        -_INIT_SCALE, _INIT_SCALE, size=p)
         for group in seeds for s in group])
     r, h = residuals(w, design)
     sse = _sumsq(r)
-    lam = np.full(total, cfg.lambda_init)
+    lam = np.full(total, _LAMBDA_INIT)
     history = [[v] for v in (sse / n_samples).tolist()]
     final_w = np.empty((total, p))
     final_sse = np.empty(total)
@@ -286,7 +287,7 @@ def _lm_batch(xs: Sequence[np.ndarray], ys: Sequence[np.ndarray], m: int,
         lams = np.empty((pending.size, width + 1))
         lams[:, 0] = lam[pending]
         for c in range(width):
-            lams[:, c + 1] = lams[:, c] * cfg.lambda_up
+            lams[:, c + 1] = lams[:, c] * _LAMBDA_UP
         slot, col = np.nonzero(lams[:, :width] <= _LAMBDA_MAX)
         own = pending[slot]
         lam_t = lams[slot, col]
@@ -309,11 +310,11 @@ def _lm_batch(xs: Sequence[np.ndarray], ys: Sequence[np.ndarray], m: int,
         t = first[better[first]]
         acc = own[t]
         w[acc], r[acc], h[acc], sse[acc] = w_t[t], r_t[t], h_t[t], sse_t[t]
-        lam[acc] = np.maximum(lam_t[t] * cfg.lambda_down, _LAMBDA_MIN)
+        lam[acc] = np.maximum(lam_t[t] * _LAMBDA_DOWN, _LAMBDA_MIN)
         for i, v in zip(ids[acc].tolist(), (sse_t[t] / n_samples).tolist()):
             history[i].append(v)
-        done[acc] = np.sqrt(_sumsq(delta[t])) < cfg.tol_step * (
-            np.sqrt(_sumsq(w_t[t])) + cfg.tol_step)
+        done[acc] = np.sqrt(_sumsq(delta[t])) < _TOL_STEP * (
+            np.sqrt(_sumsq(w_t[t])) + _TOL_STEP)
         missed = np.ones(pending.size, dtype=bool)
         missed[hit] = False
         pending = pending[missed]
@@ -332,7 +333,7 @@ def _lm_batch(xs: Sequence[np.ndarray], ys: Sequence[np.ndarray], m: int,
             block_t = block.transpose(0, 2, 1)
             np.matmul(block_t, r[lo:hi, :, None], out=grad[lo:hi, :, None])
             np.matmul(block_t, block, out=jtj[lo:hi])
-        done = np.abs(grad).max(axis=1) < cfg.tol_grad
+        done = np.abs(grad).max(axis=1) < _TOL_GRAD
         broken = ~done & ~np.isfinite(jtj).all(axis=(1, 2))
         if broken.any():
             fail(np.flatnonzero(broken)[0], "non-finite normal equations")
@@ -501,13 +502,12 @@ class SearchResult:
         return "".join(rows)
 
 
-def enumerate_combinations(config: SearchConfig,
-                           names: Sequence[str] = FEATURE_NAMES
+def enumerate_combinations(config: SearchConfig
                            ) -> list[tuple[tuple[str, ...], int]]:
     """All (subset, M) pairs passing the capacity bound, in fixed order."""
     combos = []
     for n in sorted(set(config.subset_sizes)):
-        for subset in itertools.combinations(names, n):
+        for subset in itertools.combinations(FEATURE_NAMES, n):
             for m in sorted(set(config.hidden_range)):
                 if capacity_ok(m, n, config.sample_count_cap):
                     combos.append((subset, m))
@@ -670,49 +670,57 @@ def load_samples_csv(path: str | os.PathLike,
 
     Each row carries id, source_id, dmos and either a `path` column
     naming a .y4m clip (features are computed here) or all 13 feature
-    columns. Relative clip paths resolve against the CSV's directory.
+    columns. Relative clip paths resolve against the CSV's directory. The
+    file is UTF-8, with or without a byte-order mark.
     """
     base_dir = os.path.dirname(os.fspath(path))
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        header = reader.fieldnames or []
-        missing = [c for c in _BASE_COLUMNS if c not in header]
-        if missing:
-            raise ConfigError(f"CSV is missing columns: {missing}")
-        by_path = "path" in header
-        if not by_path:
-            absent = [c for c in FEATURE_NAMES if c not in header]
-            if absent:
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:  # decoded whole, so a decoding error knows its line
+        reader = csv.DictReader(io.StringIO(data.decode("utf-8-sig"), newline=""))
+        header, rows = reader.fieldnames or [], list(reader)
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise ConfigError(f"CSV line {line} is not UTF-8 text") from None
+    except csv.Error as exc:  # DictReader's own line_num lags a failed row
+        raise ConfigError(f"CSV line {reader.reader.line_num}: {exc}") from None
+    missing = [c for c in _BASE_COLUMNS if c not in header]
+    if missing:
+        raise ConfigError(f"CSV is missing columns: {missing}")
+    by_path = "path" in header
+    if not by_path:
+        absent = [c for c in FEATURE_NAMES if c not in header]
+        if absent:
+            raise ConfigError(
+                "CSV needs either a path column or all 13 feature "
+                f"columns; missing {absent}")
+    samples = []
+    for row_num, row in enumerate(rows, start=2):
+        try:
+            dmos = _finite_float(row["dmos"])
+        except (TypeError, ValueError):
+            raise ConfigError(f"row {row_num}: dmos is not a finite number")
+        if by_path:
+            clip = row["path"] or ""
+            if not clip.lower().endswith(".y4m"):
                 raise ConfigError(
-                    "CSV needs either a path column or all 13 feature "
-                    f"columns; missing {absent}")
-        samples = []
-        for row_num, row in enumerate(reader, start=2):
+                    f"row {row_num}: only .y4m paths are supported in CSV")
+            full = clip if os.path.isabs(clip) else os.path.join(base_dir, clip)
+            with open(full, "rb") as video:
+                features = analyze(Y4MReader(video),
+                                   config=detector_config).features
+        else:
             try:
-                dmos = _finite_float(row["dmos"])
+                features = {name: _finite_float(row[name])
+                            for name in FEATURE_NAMES}
             except (TypeError, ValueError):
-                raise ConfigError(f"row {row_num}: dmos is not a finite number")
-            if by_path:
-                clip = row["path"] or ""
-                if not clip.lower().endswith(".y4m"):
-                    raise ConfigError(
-                        f"row {row_num}: only .y4m paths are supported in CSV")
-                full = clip if os.path.isabs(clip) else os.path.join(base_dir, clip)
-                with open(full, "rb") as video:
-                    features = analyze(Y4MReader(video),
-                                       config=detector_config).features
-            else:
-                try:
-                    features = {name: _finite_float(row[name])
-                                for name in FEATURE_NAMES}
-                except (TypeError, ValueError):
-                    raise ConfigError(
-                        f"row {row_num}: feature columns must be finite numbers")
-            samples.append(TrainingSample(
-                features=features, dmos=dmos,
-                source_id=row["source_id"] or "",
-                sample_id=row["id"] or "",
-            ))
+                raise ConfigError(
+                    f"row {row_num}: feature columns must be finite numbers")
+        samples.append(TrainingSample(
+            features=features, dmos=dmos,
+            source_id=row["source_id"] or "",
+            sample_id=row["id"] or "",
+        ))
     if not samples:
         raise ConfigError("CSV contains no sample rows")
     return samples

@@ -209,6 +209,44 @@ class TestExitCodes:
     def test_help_exits_zero(self):
         assert run(["--help"]) == 0
 
+    @pytest.mark.parametrize("command,flag,value", [
+        ("detect", "--epsilon-abs", "nan"),
+        ("score", "--rel-factor", "inf"),
+        ("synth", "--noise", "nan"),
+        ("degrade", "--capture-noise", "nan"),
+        ("eval", "--range", "nan"),
+        ("score", "--fps", "bogus"),
+    ])
+    def test_bad_flag_value_is_usage_error_naming_it(self, clip, tmp_path,
+                                                     capsys, command, flag,
+                                                     value):
+        out = str(tmp_path / "out")
+        argv = {"detect": ["detect", str(clip)],
+                "score": ["score", str(clip)],
+                "synth": ["synth", "--frames", "5", "--out", out],
+                "degrade": ["degrade", str(clip), "--kind", "loss",
+                            "--events", "10:4", "--out", out],
+                "eval": ["eval", "--data", out]}[command]
+        capsys.readouterr()
+        assert run([*argv, flag, value]) == 1
+        err = capsys.readouterr().err
+        assert f"argument {flag}: invalid" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["score", "CLIP", "--threads", "2"],
+        ["fd", "CLIP", "--seed", "1"],
+        ["synth", "--frames", "5", "--out", "OUT", "--pattern", "gradient"],
+    ])
+    def test_flag_the_command_does_not_read_is_rejected(self, clip, tmp_path,
+                                                        capsys, argv):
+        out = tmp_path / "out.y4m"
+        argv = [{"CLIP": str(clip), "OUT": str(out)}.get(a, a) for a in argv]
+        capsys.readouterr()
+        assert run(argv) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("threads", ["0", "-1"])
     def test_threads_below_one_is_usage_error(self, tmp_path, capsys, threads):
         capsys.readouterr()

@@ -1,0 +1,183 @@
+"""The three text inputs, fuzzed: model JSON, sample CSV and truth JSON.
+
+Every input must give a result or a JerkmeterError, which the CLI maps to
+exit code 1 or 2; nothing may escape as another exception. Inputs are
+mutations of a valid document, arbitrary JSON values in the document's
+shape, or arbitrary bytes. The cases first found by hand are pinned as
+explicit examples.
+"""
+
+import io
+import json
+
+import pytest
+from hypothesis import HealthCheck, example, given, seed, settings
+from hypothesis import strategies as st
+
+from jerkmeter import (
+    FEATURE_NAMES,
+    ConfigError,
+    JerkmeterError,
+    ModelFormatError,
+    default_model,
+    load_model,
+    load_samples_csv,
+    save_model,
+)
+from jerkmeter.cli import _timeline_from_doc, run
+from jerkmeter.freeze_detection import FreezeTimeline
+
+from conftest import make_sequence, y4m_bytes
+
+DEEP = "[" * 200000 + "]" * 200000
+HUGE_FIELD = "x" * 131073  # one more character than csv's field limit
+
+VALID_MODEL = save_model(default_model()).decode("utf-8")
+VALID_TRUTH = json.dumps({"schema": 1, "frame_count": 60, "fps": 25.0, "events": [
+    {"start_frame": 10, "duration": 4}, {"start_frame": 30, "duration": 6}]})
+VALID_CSV = "id,source_id,dmos," + ",".join(FEATURE_NAMES) + "\n" + "".join(
+    f"s{i},src{i % 2},{1.5 + i}," + ",".join(str(0.25 * (i + k)) for k in range(13))
+    + "\n" for i in range(3))
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12)
+
+
+def mutated(valid: str):
+    """`valid` with one slice replaced by arbitrary text, or cut short."""
+    def mutate(args):
+        lo, hi, text = args
+        lo, hi = sorted((lo % (len(valid) + 1), hi % (len(valid) + 1)))
+        return valid[:lo] + text + valid[hi:]
+
+    return st.tuples(st.integers(0, 10**6), st.integers(0, 10**6),
+                     st.text(max_size=6)).map(mutate)
+
+
+def texts(valid: str, shaped):
+    """Text or bytes inputs for a parser whose valid input is `valid`."""
+    return (mutated(valid) | shaped.map(json.dumps) | st.text(max_size=40)
+            | st.binary(max_size=40))
+
+
+model_docs = st.fixed_dictionaries({}, optional={
+    "schema": json_values | st.just(1),
+    "features": json_values | st.lists(st.sampled_from(FEATURE_NAMES), max_size=3),
+    "norm": json_values | st.fixed_dictionaries(
+        {"mean": json_values, "std": json_values}),
+    "hidden": json_values, "output": json_values, "meta": json_values})
+truth_docs = st.fixed_dictionaries({}, optional={
+    "frame_count": json_values, "fps": json_values,
+    "events": json_values | st.lists(st.fixed_dictionaries({}, optional={
+        "start_frame": json_values, "duration": json_values}), max_size=3)})
+
+
+def as_bytes(data) -> bytes:
+    return data if isinstance(data, bytes) else data.encode("utf-8")
+
+
+class TestFuzz:
+    @seed(20261018)
+    @settings(max_examples=300, deadline=None)
+    @given(data=texts(VALID_MODEL, model_docs))
+    @example(data=b"\xff")
+    @example(data=DEEP)
+    @example(data="1" * 5000)
+    def test_model_json(self, data):
+        try:
+            load_model(data)
+        except JerkmeterError:
+            pass
+
+    @seed(20261018)
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=mutated(VALID_CSV) | st.binary(max_size=40)
+           | st.lists(st.text(max_size=6), max_size=16).map(",".join))
+    @example(data="id,source_id,dmos\n" + HUGE_FIELD + ",a,1\n")
+    @example(data=b"id,source_id,dmos\nx,\xff,1\n")
+    @example(data="\ufeff" + VALID_CSV)
+    def test_sample_csv(self, tmp_path, data):
+        path = tmp_path / "samples.csv"  # rewritten for every input
+        path.write_bytes(as_bytes(data))
+        try:
+            load_samples_csv(path)
+        except JerkmeterError:
+            pass
+
+    @seed(20261018)
+    @settings(max_examples=300, deadline=None)
+    @given(data=texts(VALID_TRUTH, truth_docs))
+    @example(data='{"frame_count": 1e999, "events": []}')
+    @example(data=DEEP)
+    @example(data="{")
+    @example(data=b'{"frame_count": 3, "events": [], "fps": "\xff"}')
+    def test_truth_json(self, data):
+        handle = io.TextIOWrapper(io.BytesIO(as_bytes(data)), encoding="utf-8")
+        try:
+            assert isinstance(_timeline_from_doc(handle), FreezeTimeline)
+        except ConfigError:
+            pass
+
+
+class TestHandFoundCases:
+    @pytest.mark.parametrize("data", [b"\xff{}", DEEP.encode()],
+                             ids=["not-utf8", "deep"])
+    def test_model_document_errors(self, data):
+        with pytest.raises(ModelFormatError) as exc:
+            load_model(data)
+        assert exc.value.field == "document"
+
+    @pytest.mark.parametrize("data,message", [
+        ("id,source_id,dmos\nx,y,1\n" + HUGE_FIELD + ",a,1\n",
+         "CSV line 3: field larger than field limit"),
+        (b"id,source_id,dmos\nx,y,1\nx,\xff,1\n", "CSV line 3 is not UTF-8"),
+    ], ids=["huge-field", "not-utf8"])
+    def test_csv_errors_name_the_line(self, tmp_path, data, message):
+        path = tmp_path / "samples.csv"
+        path.write_bytes(as_bytes(data))
+        with pytest.raises(ConfigError, match=message):
+            load_samples_csv(path)
+
+    def test_csv_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "samples.csv"
+        path.write_bytes(("\ufeff" + VALID_CSV).encode("utf-8"))
+        samples = load_samples_csv(path)
+        assert [s.sample_id for s in samples] == ["s0", "s1", "s2"]
+
+
+@pytest.fixture
+def clip(tmp_path, rng):
+    path = tmp_path / "clip.y4m"
+    path.write_bytes(y4m_bytes(make_sequence(rng, count=6, width=8, height=8)))
+    return path
+
+
+class TestCli:
+    """Malformed files through `cli.run`: exit 1 or 2, never a traceback."""
+
+    @pytest.mark.parametrize("command,data,code", [
+        ("score", b"\xff", 2),
+        ("score", DEEP, 2),
+        ("detect", '{"frame_count": 1e999, "events": []}', 1),
+        ("detect", DEEP, 1),
+        ("detect", '{"frame_count": 6, ', 1),
+        ("eval", "id,source_id,dmos\n" + HUGE_FIELD + ",a,1\n", 1),
+        ("eval", b"id,source_id,dmos\n\xff,a,1\n", 1),
+    ], ids=["model-not-utf8", "model-deep", "truth-overflow", "truth-deep",
+            "truth-syntax", "csv-huge-field", "csv-not-utf8"])
+    def test_malformed_file(self, clip, tmp_path, capsys, command, data, code):
+        path = tmp_path / "input"
+        path.write_bytes(as_bytes(data))
+        argv = {"score": ["score", str(clip), "--model", str(path)],
+                "detect": ["detect", str(clip), "--truth", str(path)],
+                "eval": ["eval", "--data", str(path)]}[command]
+        capsys.readouterr()
+        assert run(argv) == code
+        err = capsys.readouterr().err
+        assert err.startswith("jerkmeter: error: ")
+        assert "Traceback" not in err

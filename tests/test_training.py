@@ -54,7 +54,7 @@ def reference_lm(x, y, m, cfg, rng):
     """
     n_samples, n = x.shape
     p = param_count(m, n)
-    w = rng.uniform(-cfg.init_scale, cfg.init_scale, size=p)
+    w = rng.uniform(-training._INIT_SCALE, training._INIT_SCALE, size=p)
     x1 = np.hstack([x, np.ones((n_samples, 1))])
     jac = np.ones((n_samples, p))
 
@@ -67,13 +67,13 @@ def reference_lm(x, y, m, cfg, rng):
     r, h, v = residuals(w)
     sse = float(r @ r)
     history = [sse / n_samples]
-    lam = cfg.lambda_init
+    lam = training._LAMBDA_INIT
     iters = 0
     stop = "max_iters"
     for iters in range(1, cfg.max_iters + 1):
         training._jacobian(x1, h, v, out=jac)
         grad = jac.T @ r
-        if abs(grad).max() < cfg.tol_grad:
+        if abs(grad).max() < training._TOL_GRAD:
             stop = "tol_grad"
             break
         jtj = jac.T @ jac
@@ -95,7 +95,7 @@ def reference_lm(x, y, m, cfg, rng):
                 if lam >= training._LAMBDA_MAX:
                     raise NumericalFailure(
                         f"normal equations singular even at lambda={lam:g}")
-                lam *= cfg.lambda_up
+                lam *= training._LAMBDA_UP
                 continue
             w_try = w + delta
             r_try, h_try, v_try = residuals(w_try)
@@ -103,12 +103,12 @@ def reference_lm(x, y, m, cfg, rng):
             if math.isfinite(sse_try) and sse_try < sse:
                 w, r, h, v, sse = w_try, r_try, h_try, v_try, sse_try
                 history.append(sse / n_samples)
-                lam = max(lam * cfg.lambda_down, training._LAMBDA_MIN)
+                lam = max(lam * training._LAMBDA_DOWN, training._LAMBDA_MIN)
                 accepted = True
-                small_step = math.sqrt(delta @ delta) < cfg.tol_step * (
-                    math.sqrt(w @ w) + cfg.tol_step)
+                small_step = math.sqrt(delta @ delta) < training._TOL_STEP * (
+                    math.sqrt(w @ w) + training._TOL_STEP)
                 break
-            lam *= cfg.lambda_up
+            lam *= training._LAMBDA_UP
         if not accepted:
             stop = "lambda"
             break
@@ -162,10 +162,6 @@ class TestCapacity:
 
 class TestConfigs:
     def test_lm_rejects_bad_schedule(self):
-        with pytest.raises(ConfigError):
-            LMConfig(lambda_up=0.5)
-        with pytest.raises(ConfigError):
-            LMConfig(lambda_down=1.5)
         with pytest.raises(ConfigError):
             LMConfig(max_iters=0)
 
@@ -314,21 +310,26 @@ class TestLmBatch:
             assert_batch_matches_reference(list(xs), list(ys), 2,
                                            LMConfig(max_iters=40), seeds)
 
+    # Each case is an LMConfig and the module's LM constants to override.
     @pytest.mark.parametrize("cfg,stop", [
-        (LMConfig(tol_grad=1e3), "tol_grad"),
-        (LMConfig(max_iters=300, tol_grad=1e-20, tol_step=1e-20), "lambda"),
-        (LMConfig(lambda_init=1e13), "lambda"),
-        (LMConfig(max_iters=3), "max_iters"),
-        (LMConfig(max_iters=300, tol_grad=1e-300), "tol_step"),
+        ((LMConfig(), {"_TOL_GRAD": 1e3}), "tol_grad"),
+        ((LMConfig(max_iters=300), {"_TOL_GRAD": 1e-20, "_TOL_STEP": 1e-20}),
+         "lambda"),
+        ((LMConfig(), {"_LAMBDA_INIT": 1e13}), "lambda"),
+        ((LMConfig(max_iters=3), {}), "max_iters"),
+        ((LMConfig(max_iters=300), {"_TOL_GRAD": 1e-300}), "tol_step"),
     ])
-    def test_matches_serial_whatever_stops_the_fit(self, cfg, stop):
+    def test_matches_serial_whatever_stops_the_fit(self, monkeypatch, cfg, stop):
+        cfg, constants = cfg
+        for name, value in constants.items():
+            monkeypatch.setattr(training, name, value)
         rng = np.random.default_rng(11)
         xs = [rng.normal(size=(30, 3)) for _ in range(2)]
         ys = [np.tanh(x[:, 0] - 0.5 * x[:, 1]) for x in xs]
         seeds = [training._children(derived_seed(2, i), 3) for i in range(2)]
         stops = assert_batch_matches_reference(xs, ys, 1, cfg, seeds)
         assert stop in stops
-        if cfg.tol_grad > 1.0:
+        if training._TOL_GRAD > 1.0:
             assert set(stops) == {"tol_grad"}
             fit = training._lm_batch(xs, ys, 1, cfg, seeds)[0][0]
             assert fit.iterations == 1 and len(fit.history) == 1
