@@ -27,7 +27,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .degradation import FreezeKind, FreezePlan, add_capture_noise, gradient_video, inject
+from .degradation import FreezeKind, FreezePlan, capture_noise_frames, gradient_video, inject
 from .errors import ConfigError, JerkmeterError
 from .eval_metrics import evaluate
 from .features import FEATURE_NAMES, analyze
@@ -60,19 +60,32 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-# Flag value parsers: a ValueError becomes argparse's usage error naming
-# the flag, which exits 1.
+def _expects(form: str):
+    """Make a flag value parser's ValueError a usage error naming ``form``."""
+    def wrap(parse):
+        def convert(text: str):
+            try:
+                return parse(text)
+            except ValueError:
+                raise argparse.ArgumentTypeError(
+                    f"invalid value {text!r}, expected {form}") from None
+        return convert
+    return wrap
 
+
+@_expects("WxH")
 def _parse_size(text: str) -> tuple[int, int]:
     w, h = text.lower().split("x")
     return int(w), int(h)
 
 
+@_expects("N or N:D")
 def _parse_fps(text: str) -> tuple[int, int]:
     num, sep, den = text.partition(":")
     return int(num), int(den) if sep else 1
 
 
+@_expects("comma-separated START:DURATION pairs")
 def _parse_events(text: str) -> list[tuple[int, int]]:
     events = []
     for part in filter(str.strip, text.split(",")):
@@ -83,6 +96,7 @@ def _parse_events(text: str) -> list[tuple[int, int]]:
     return events
 
 
+@_expects("an integer of at least 1")
 def _parse_threads(text: str) -> int:
     threads = int(text)
     if threads < 1:
@@ -90,8 +104,12 @@ def _parse_threads(text: str) -> int:
     return threads
 
 
+@_expects("comma-separated integers")
 def _parse_int_list(text: str) -> tuple[int, ...]:
     return tuple(int(p) for p in text.split(",") if p.strip())
+
+
+_parse_finite = _expects("a finite number")(_finite_float)
 
 
 @contextlib.contextmanager
@@ -171,10 +189,12 @@ def _cmd_degrade(args) -> int:
     with _open_video(args.input, args) as reader:
         seq = VideoSequence.from_reader(reader)
     degraded, truth = inject(seq, plan)
+    frames = degraded.frames
     if args.capture_noise > 0.0:
-        degraded = add_capture_noise(degraded, args.capture_noise, seed=args.seed)
+        # Noisy frames are made as they are written: one is alive at a time.
+        frames = capture_noise_frames(frames, args.capture_noise, seed=args.seed)
     with open(args.out, "wb") as handle:
-        write_y4m(degraded, handle)
+        write_y4m(degraded, handle, frames)
     truth_doc = {"schema": JSON_SCHEMA, "kind": args.kind, **_timeline_doc(truth)}
     if args.truth:
         with open(args.truth, "w", encoding="utf-8") as handle:
@@ -365,10 +385,10 @@ def _build_parser() -> _Parser:
                            default="420", help="chroma layout of raw input")
 
     detector = _Parser(add_help=False)
-    detector.add_argument("--epsilon-abs", type=_finite_float,
+    detector.add_argument("--epsilon-abs", type=_parse_finite,
                           default=DetectorConfig.epsilon_abs,
                           help="absolute freeze threshold floor")
-    detector.add_argument("--rel-factor", type=_finite_float,
+    detector.add_argument("--rel-factor", type=_parse_finite,
                           default=DetectorConfig.rel_factor,
                           help="fraction of robust background motion")
 
@@ -383,7 +403,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--frames", type=int, required=True)
     p.add_argument("--size", type=_parse_size, default="64x64")
     p.add_argument("--fps", type=_parse_fps, default="25:1")
-    p.add_argument("--noise", type=_finite_float, default=0.0,
+    p.add_argument("--noise", type=_parse_finite, default=0.0,
                    help="density of +/-1 pixel perturbations per frame")
     p.add_argument("--velocity", type=int, default=1,
                    help="pixels of motion per frame")
@@ -396,7 +416,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--kind", choices=[k.value for k in FreezeKind], required=True)
     p.add_argument("--events", type=_parse_events, required=True,
                    help="comma-separated start:duration pairs")
-    p.add_argument("--capture-noise", type=_finite_float, default=0.0,
+    p.add_argument("--capture-noise", type=_parse_finite, default=0.0,
                    help="density of +/-1 perturbations applied after injection")
     p.add_argument("--out", required=True)
     p.add_argument("--truth", default=None,
@@ -421,7 +441,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_features)
 
     p = sub.add_parser("score", parents=[common, raw_input, detector],
-                       help="predicted quality score")
+                       help="predicted DMOS (higher = worse)")
     p.add_argument("input")
     p.add_argument("--model", default=None,
                    help="model JSON (bundled default if omitted)")
@@ -453,7 +473,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--data", required=True, help="sample CSV")
     p.add_argument("--model", default=None,
                    help="model JSON (bundled default if omitted)")
-    p.add_argument("--range", type=_finite_float, default=None,
+    p.add_argument("--range", type=_parse_finite, default=None,
                    help="score range for rRMSE (default: observed)")
     p.set_defaults(func=_cmd_eval)
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -137,9 +138,13 @@ def add_capture_noise(seq: VideoSequence, density: float, seed: int = 0) -> Vide
     """
     if density <= 0.0:
         return seq
+    return VideoSequence(seq.header, list(capture_noise_frames(seq.frames, density, seed)),
+                         list(seq.chroma))
+
+
+def capture_noise_frames(frames: Iterable[LumaFrame], density: float,
+                         seed: int = 0) -> Iterator[LumaFrame]:
+    """The frames of ``add_capture_noise``, made one at a time as they are read."""
     rng = np.random.default_rng(seed)
-    frames = [
-        LumaFrame(f.width, f.height, _flip_pixels(f.samples, density, rng))
-        for f in seq.frames
-    ]
-    return VideoSequence(seq.header, frames, list(seq.chroma))
+    for f in frames:
+        yield LumaFrame(f.width, f.height, _flip_pixels(f.samples, density, rng))

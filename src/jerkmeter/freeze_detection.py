@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ConfigError, ShapeError
 from .frame_analysis import FrameDiffSeries
 
 MIN_EVENT_FRAMES = 2
@@ -28,6 +28,12 @@ class DetectorConfig:
     epsilon_abs: float = 0.05
     # Fraction of the robust background motion level.
     rel_factor: float = 0.02
+
+    def __post_init__(self):
+        # No difference is at or below a threshold under 0: detection would be off.
+        for name in ("epsilon_abs", "rel_factor"):
+            if not getattr(self, name) >= 0.0:
+                raise ConfigError(f"{name} must be at least 0, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True, order=True)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import BinaryIO, Iterator
+from typing import BinaryIO, Iterable, Iterator
 
 import numpy as np
 
@@ -429,10 +429,12 @@ def header_tokens(header: VideoHeader) -> tuple[str, ...]:
     )
 
 
-def write_y4m(seq: VideoSequence, sink: BinaryIO) -> None:
+def write_y4m(seq: VideoSequence, sink: BinaryIO,
+              frames: Iterable[LumaFrame] | None = None) -> None:
+    """Write ``seq`` as Y4M; ``frames``, if given, is read in place of its luma."""
     tokens = header_tokens(seq.header)
     sink.write(Y4M_SIGNATURE + b"".join(b" " + t.encode("ascii") for t in tokens) + b"\n")
-    for frame, chroma in zip(seq.frames, seq.chroma):
+    for frame, chroma in zip(seq.frames if frames is None else frames, seq.chroma):
         sink.write(b"FRAME\n")
         sink.write(frame.samples.tobytes())
         sink.write(chroma)

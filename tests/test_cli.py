@@ -1,9 +1,18 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from jerkmeter import FEATURE_NAMES, load_model, parse_y4m
+from jerkmeter import (
+    FEATURE_NAMES,
+    FreezeKind,
+    FreezePlan,
+    add_capture_noise,
+    inject,
+    load_model,
+    parse_y4m,
+)
 from jerkmeter.cli import run
 
 from conftest import make_sequence, y4m_bytes
@@ -81,6 +90,19 @@ class TestDegradeDetect:
     def test_out_of_bounds_plan_is_runtime_error(self, clip, tmp_path):
         assert run(["degrade", str(clip), "--kind", "loss", "--events",
                     "59:30", "--out", str(tmp_path / "d.y4m")]) == 2
+
+    def test_capture_noise_output_is_pinned(self, clip, tmp_path):
+        # Noise is drawn frame by frame as the clip is written, in the rng
+        # order of add_capture_noise on the whole degraded clip.
+        deg = tmp_path / "deg.y4m"
+        assert run(["degrade", str(clip), "--kind", "loss", "--events", "10:4,30:3",
+                    "--capture-noise", "0.02", "--seed", "3", "--out", str(deg)]) == 0
+        assert hashlib.sha256(deg.read_bytes()).hexdigest() == (
+            "c30c171eebfdcdd2e4bf8a6da76f8c3c6bc46583dc5aa731c2ea0d997df2d002")
+        with open(clip, "rb") as handle:
+            degraded, _ = inject(parse_y4m(handle),
+                                 FreezePlan(FreezeKind.LOSS, [(10, 4), (30, 3)]))
+        assert deg.read_bytes() == y4m_bytes(add_capture_noise(degraded, 0.02, seed=3))
 
 
 class TestFd:
@@ -232,6 +254,36 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"argument {flag}: invalid" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv,form", [
+        (["synth", "--frames", "5", "--out", "OUT", "--size", "banana"], "WxH"),
+        (["score", "CLIP", "--fps", "bogus"], "N or N:D"),
+        (["degrade", "CLIP", "--kind", "loss", "--events", "oops", "--out", "OUT"],
+         "START:DURATION"),
+        (["train", "--data", "OUT", "--out", "OUT", "--threads", "0"], "at least 1"),
+        (["train", "--data", "OUT", "--out", "OUT", "--hidden", "x"],
+         "comma-separated integers"),
+        (["detect", "CLIP", "--epsilon-abs", "nan"], "a finite number"),
+    ])
+    def test_bad_flag_value_names_the_expected_form(self, clip, tmp_path, capsys,
+                                                     argv, form):
+        argv = [{"CLIP": str(clip), "OUT": str(tmp_path / "out")}.get(a, a)
+                for a in argv]
+        capsys.readouterr()
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert form in err
+        assert "_parse_" not in err and "_finite" not in err
+
+    @pytest.mark.parametrize("flag", ["--epsilon-abs", "--rel-factor"])
+    def test_negative_detector_setting_is_usage_error(self, clip, capsys, flag):
+        # No frame difference is at or below a negative threshold: no events.
+        capsys.readouterr()
+        assert run(["detect", str(clip), flag, "-1", "--json"]) == 1
+        captured = capsys.readouterr()
+        assert "must be at least 0" in captured.err
+        assert captured.out == ""
+        assert run(["detect", str(clip), flag, "0", "--json"]) == 0
 
     @pytest.mark.parametrize("argv", [
         ["score", "CLIP", "--threads", "2"],

@@ -40,6 +40,11 @@ def brute_frame_diff(a, b):
     return total / (h * w)
 
 
+def int64_fd(a, b):
+    d = a.samples.astype(np.int64) - b.samples.astype(np.int64)
+    return int((d * d).sum()) / d.size
+
+
 class TestFrameDiff:
     def test_identical_frames(self):
         f = frame([[1, 2], [3, 4]])
@@ -198,6 +203,40 @@ class TestComputeSeries:
         dark = frame(np.zeros((height, width), dtype=np.uint8))
         bright = frame(np.full((height, width), 255, dtype=np.uint8))
         assert compute_series([dark, bright, dark]).values.tolist() == [65025.0, 65025.0]
+
+    @pytest.mark.parametrize("width,height", [(2 * 66051 + 7, 1), (1280, 720)])
+    @pytest.mark.parametrize("content", ["random", "all-255"])
+    def test_run_wise_sums_match_int64_reference(self, rng, width, height, content):
+        # Rows longer than 66,051 pixels are summed in runs of that many.
+        if content == "random":
+            frames = random_frames(rng, 3, width, height)
+        else:
+            dark = frame(np.zeros((height, width), dtype=np.uint8))
+            frames = [dark, frame(np.full((height, width), 255, dtype=np.uint8)), dark]
+        expected = np.array([int64_fd(frames[i], frames[i + 1]) for i in range(2)])
+        assert compute_series(frames).values.tobytes() == expected.tobytes()
+
+    def test_run_wise_sums_with_several_large_rows_per_block(self, rng, monkeypatch):
+        width, height = 2 * 66051 + 7, 1
+        monkeypatch.setattr(frame_analysis, "_BLOCK_BYTES", 3 * width * height)
+        header = VideoHeader(width=width, height=height, fps_num=25, fps_den=1,
+                             chroma=ChromaFormat.MONO)
+        frames = random_frames(rng, 8, width, height)
+        expected = np.array([int64_fd(frames[i], frames[i + 1]) for i in range(7)])
+        seq = VideoSequence.from_luma(header, frames)
+        for source in (iter(frames), Y4MReader(io.BytesIO(y4m_bytes(seq)))):
+            assert compute_series(source).values.tobytes() == expected.tobytes()
+
+    def test_large_pair_allocates_one_run_of_scratch(self, rng):
+        # Full-frame temporaries of a 1080p pair would take about 6 MB.
+        a, b = (rng.integers(0, 256, (1, 1920 * 1080), dtype=np.uint8) for _ in range(2))
+        tracemalloc.start()
+        try:
+            frame_analysis._fd_pairs(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_streaming_memory_is_flat(self, rng):
         # Beyond the output, which grows by a few float64 per frame,

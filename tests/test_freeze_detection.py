@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jerkmeter import (
+    ConfigError,
     DetectorConfig,
     FrameDiffSeries,
     FreezeEvent,
@@ -43,6 +44,15 @@ class TestThreshold:
         cfg = DetectorConfig(epsilon_abs=1.0, rel_factor=0.5)
         series = make_series([1.0, 1.0, 8.0])  # only the 8 is above the floor
         assert freeze_threshold(series, cfg) == 4.0
+
+
+    @pytest.mark.parametrize("fields", [
+        {"epsilon_abs": -1e-9}, {"rel_factor": -0.5}, {"epsilon_abs": float("nan")}])
+    def test_negative_or_nan_setting_rejected(self, fields):
+        with pytest.raises(ConfigError):
+            DetectorConfig(**fields)
+        assert freeze_threshold(make_series([0.0, 0.0]),
+                                DetectorConfig(epsilon_abs=0.0, rel_factor=0.0)) == 0.0
 
 
 class TestDetect:
