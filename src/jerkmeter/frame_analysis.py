@@ -1,16 +1,14 @@
 """Frame-difference series, scene-cut flagging, background motion level.
 
 The frame difference between consecutive frames is the mean of the squared
-per-pixel luma change. Squares are summed in uint32 over at most 66,051
-pixels at a time (255^2 * 66,051 < 2^32). A frame that small is
-differenced whole, a block of frames at once: the change is max - min in
-uint8, squared into uint16. A larger frame is walked in runs of 66,051
-pixels, each differenced and squared in one uint16 scratch buffer of run
-size, which stays in cache where full-frame temporaries would not; the
-run sums are added in uint64. Every sum is an exact integer below
-255^2 * W * H < 2^53, so it converts to float64 exactly and the one
-division at the end rounds as integer arithmetic would: results are
-bit-exact and platform independent.
+per-pixel luma change. A block of frame pairs is walked in runs of at
+most 66,051 pixels, a whole frame when it is that small: each run is
+differenced and squared in one uint16 scratch buffer of run size, which
+stays in cache where full-frame temporaries would not, and summed in
+uint32 (255^2 * 66,051 < 2^32); the run sums are added in uint64. Every
+sum is an exact integer below 255^2 * W * H < 2^53, so it converts to
+float64 exactly and the one division at the end rounds as integer
+arithmetic would: results are bit-exact and platform independent.
 """
 
 from __future__ import annotations
@@ -72,18 +70,15 @@ def frame_diff(a: LumaFrame, b: LumaFrame) -> float:
 def _fd_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Mean squared difference between matching rows of two (pairs, pixels) blocks."""
     pairs, pixels = a.shape
-    if pixels <= _SUM32_PIXELS:
-        d = np.maximum(a, b)
-        d -= np.minimum(a, b)
-        return np.square(d, dtype=np.uint16).sum(axis=1, dtype=np.uint32) / pixels
+    run = min(pixels, _SUM32_PIXELS)
     # A negative difference -d wraps to 2^16 - d in uint16, and so does its
     # square: (2^16 - d)^2 = d^2 (mod 2^16), exact because d^2 <= 255^2 < 2^16.
-    scratch = np.empty((pairs, _SUM32_PIXELS), dtype=np.uint16)
+    scratch = np.empty((pairs, run), dtype=np.uint16)
     sums = np.zeros(pairs, dtype=np.uint64)
-    for start in range(0, pixels, _SUM32_PIXELS):
-        x, y = a[:, start:start + _SUM32_PIXELS], b[:, start:start + _SUM32_PIXELS]
-        sq = scratch[:, :x.shape[1]]
-        np.subtract(x, y, out=sq, dtype=np.uint16)
+    for start in range(0, pixels, run):
+        sq = scratch[:, :min(run, pixels - start)]
+        sq[...] = a[:, start:start + run]
+        sq -= b[:, start:start + run]
         sums += np.square(sq, out=sq).sum(axis=1, dtype=np.uint32)
     return sums / pixels
 

@@ -30,7 +30,9 @@ class DetectorConfig:
     rel_factor: float = 0.02
 
     def __post_init__(self):
-        # No difference is at or below a threshold under 0: detection would be off.
+        # A negative epsilon_abs can make the threshold negative, which no
+        # difference is at or below, so detection would be off; a negative
+        # share of the background level means nothing.
         for name in ("epsilon_abs", "rel_factor"):
             if not getattr(self, name) >= 0.0:
                 raise ConfigError(f"{name} must be at least 0, got {getattr(self, name)}")

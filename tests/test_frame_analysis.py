@@ -204,10 +204,11 @@ class TestComputeSeries:
         bright = frame(np.full((height, width), 255, dtype=np.uint8))
         assert compute_series([dark, bright, dark]).values.tolist() == [65025.0, 65025.0]
 
-    @pytest.mark.parametrize("width,height", [(2 * 66051 + 7, 1), (1280, 720)])
+    @pytest.mark.parametrize("width,height", [(64, 64), (2 * 66051 + 7, 1), (1280, 720)])
     @pytest.mark.parametrize("content", ["random", "all-255"])
     def test_run_wise_sums_match_int64_reference(self, rng, width, height, content):
-        # Rows longer than 66,051 pixels are summed in runs of that many.
+        # Rows longer than 66,051 pixels are summed in runs of that many,
+        # shorter ones in one run.
         if content == "random":
             frames = random_frames(rng, 3, width, height)
         else:
