@@ -29,8 +29,6 @@ from .video_io import (
     VideoHeader,
     VideoSequence,
     Y4MReader,
-    parse_raw_yuv,
-    parse_y4m,
     write_y4m,
 )
 from .frame_analysis import FrameDiffSeries, compute_series, detect_scene_cuts, frame_diff
@@ -74,8 +72,6 @@ from .degradation import (
     add_capture_noise,
     gradient_video,
     inject,
-    inject_delay_freeze,
-    inject_loss_freeze,
 )
 
 __version__ = "0.1.0"
@@ -88,14 +84,13 @@ __all__ = [
     "LumaFrame", "ModelFormatError", "NumericalFailure", "ParseError",
     "PlanError", "QualityModel", "QualityScore", "SearchConfig",
     "SearchResult", "ShapeError", "TooFewFrames", "TrailingBytes",
-    "TrainingSample", "TruncatedFrame", "UnsupportedFormat", "VideoAnalysis",
-    "VideoHeader", "VideoSequence", "Y4MReader", "add_capture_noise",
-    "analyze", "capacity_ok", "compute_series", "cross_validate",
-    "default_model", "detect_freezes", "detect_scene_cuts", "evaluate",
-    "exhaustive_search", "extract", "forward", "frame_diff",
-    "freeze_threshold", "gradient_video", "inject", "inject_delay_freeze",
-    "inject_loss_freeze", "load_model", "load_samples_csv", "normalize",
-    "parse_raw_yuv", "parse_y4m", "pearson", "predict", "rank", "rrmse",
-    "save_model", "score_detection", "score_features", "sigmoid",
-    "spearman", "train_lm", "write_y4m",
+    "TrainingSample", "TruncatedFrame", "UnsupportedFormat",
+    "VideoAnalysis", "VideoHeader", "VideoSequence", "Y4MReader",
+    "add_capture_noise", "analyze", "capacity_ok", "compute_series",
+    "cross_validate", "default_model", "detect_freezes",
+    "detect_scene_cuts", "evaluate", "exhaustive_search", "extract",
+    "forward", "frame_diff", "freeze_threshold", "gradient_video", "inject",
+    "load_model", "load_samples_csv", "normalize", "pearson", "predict",
+    "rank", "rrmse", "save_model", "score_detection", "score_features",
+    "sigmoid", "spearman", "train_lm", "write_y4m",
 ]

@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import sys
 from typing import Iterator
 
@@ -32,14 +33,7 @@ from .errors import ConfigError, JerkmeterError
 from .eval_metrics import evaluate
 from .features import FEATURE_NAMES, analyze
 from .frame_analysis import compute_series
-from .freeze_detection import (
-    DetectorConfig,
-    FreezeEvent,
-    FreezeTimeline,
-    detect_freezes,
-    freeze_threshold,
-    score_detection,
-)
+from .freeze_detection import DetectorConfig, FreezeEvent, FreezeTimeline, score_detection
 from .quality_model import default_model, load_model, save_model, score_features
 from .training import (
     LMConfig,
@@ -73,16 +67,23 @@ def _expects(form: str):
     return wrap
 
 
-@_expects("WxH")
+def _at_least_1(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"{value} is below 1")
+    return value
+
+
+@_expects("WxH, both at least 1")
 def _parse_size(text: str) -> tuple[int, int]:
     w, h = text.lower().split("x")
-    return int(w), int(h)
+    return _at_least_1(w), _at_least_1(h)
 
 
-@_expects("N or N:D")
+@_expects("N or N:D, both at least 1")
 def _parse_fps(text: str) -> tuple[int, int]:
     num, sep, den = text.partition(":")
-    return int(num), int(den) if sep else 1
+    return _at_least_1(num), _at_least_1(den) if sep else 1
 
 
 @_expects("comma-separated START:DURATION pairs")
@@ -96,12 +97,12 @@ def _parse_events(text: str) -> list[tuple[int, int]]:
     return events
 
 
-@_expects("an integer of at least 1")
-def _parse_threads(text: str) -> int:
-    threads = int(text)
-    if threads < 1:
+@_expects("a number from 0 to 1")
+def _parse_density(text: str) -> float:
+    density = float(text)
+    if not 0.0 <= density <= 1.0:
         raise ValueError(text)
-    return threads
+    return density
 
 
 @_expects("comma-separated integers")
@@ -109,6 +110,7 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
     return tuple(int(p) for p in text.split(",") if p.strip())
 
 
+_parse_count = _expects("an integer of at least 1")(_at_least_1)
 _parse_finite = _expects("a finite number")(_finite_float)
 
 
@@ -148,14 +150,24 @@ def _timeline_doc(timeline: FreezeTimeline) -> dict:
     }
 
 
+def _json_number(value, kinds=(int,)):
+    """``value`` if it is finite and its type is one of ``kinds`` (bool is not)."""
+    if type(value) not in kinds or not -math.inf < value < math.inf:
+        raise TypeError(f"expected a finite {kinds[-1].__name__}, got {value!r}")
+    return value
+
+
 def _timeline_from_doc(handle) -> FreezeTimeline:
-    """The timeline of a truth JSON file; any malformation is a ConfigError."""
+    """The timeline of a truth JSON file; any malformation is a ConfigError.
+
+    Frame numbers must be JSON integers and fps a finite JSON number.
+    """
     try:
         doc = json.load(handle)
-        events = [FreezeEvent(int(ev["start_frame"]), int(ev["duration"]))
+        events = [FreezeEvent(_json_number(ev["start_frame"]), _json_number(ev["duration"]))
                   for ev in doc["events"]]
-        return FreezeTimeline(events=events, frame_count=int(doc["frame_count"]),
-                              fps=float(doc.get("fps", 0.0)))
+        return FreezeTimeline(events=events, frame_count=_json_number(doc["frame_count"]),
+                              fps=float(_json_number(doc.get("fps", 0.0), (int, float))))
     except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise ConfigError(f"malformed truth file: {exc}")
 
@@ -229,13 +241,8 @@ def _cmd_fd(args) -> int:
 
 def _cmd_detect(args) -> int:
     with _open_video(args.input, args) as reader:
-        series = compute_series(reader)
-    config = _detector_config(args)
-    timeline = detect_freezes(series, config=config, fps=reader.header.fps)
-    doc = {
-        "threshold": freeze_threshold(series, config),
-        **_timeline_doc(timeline),
-    }
+        timeline = analyze(reader, config=_detector_config(args)).timeline
+    doc = {"threshold": timeline.threshold, **_timeline_doc(timeline)}
     if args.truth:
         with open(args.truth, encoding="utf-8") as handle:
             truth = _timeline_from_doc(handle)
@@ -400,10 +407,10 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("synth", parents=[common, seeded],
                        help="generate a synthetic clip")
-    p.add_argument("--frames", type=int, required=True)
+    p.add_argument("--frames", type=_parse_count, required=True)
     p.add_argument("--size", type=_parse_size, default="64x64")
     p.add_argument("--fps", type=_parse_fps, default="25:1")
-    p.add_argument("--noise", type=_parse_finite, default=0.0,
+    p.add_argument("--noise", type=_parse_density, default=0.0,
                    help="density of +/-1 pixel perturbations per frame")
     p.add_argument("--velocity", type=int, default=1,
                    help="pixels of motion per frame")
@@ -416,7 +423,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--kind", choices=[k.value for k in FreezeKind], required=True)
     p.add_argument("--events", type=_parse_events, required=True,
                    help="comma-separated start:duration pairs")
-    p.add_argument("--capture-noise", type=_parse_finite, default=0.0,
+    p.add_argument("--capture-noise", type=_parse_density, default=0.0,
                    help="density of +/-1 perturbations applied after injection")
     p.add_argument("--out", required=True)
     p.add_argument("--truth", default=None,
@@ -450,7 +457,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("train", parents=[common, seeded, detector],
                        help="fit a model from annotated samples")
     p.add_argument("--data", required=True, help="sample CSV")
-    p.add_argument("--threads", type=_parse_threads, default=1,
+    p.add_argument("--threads", type=_parse_count, default=1,
                    help="worker processes of the structure search (default 1)")
     p.add_argument("--subset-sizes", type=_parse_int_list,
                    default=SearchConfig.subset_sizes)

@@ -8,8 +8,9 @@ content is skipped, so the first post-freeze transition spikes. A
 transition looks like ordinary motion and the tail is dropped to keep
 the length.
 
-Both return the exact ground-truth timeline, which is what the detection
-and feature acceptance suites score against.
+``inject`` applies either kind and returns the exact ground-truth
+timeline, which is what the detection and feature acceptance suites
+score against.
 """
 
 from __future__ import annotations
@@ -62,26 +63,6 @@ class FreezePlan:
             consumed = prev_end if self.kind is FreezeKind.LOSS else start
         index.extend(range(consumed, frame_count))
         return index[:frame_count], events
-
-
-def inject_loss_freeze(seq: VideoSequence, plan: FreezePlan
-                       ) -> tuple[VideoSequence, FreezeTimeline]:
-    """Replace each planned span with its preceding frame (length unchanged)."""
-    if plan.kind is not FreezeKind.LOSS:
-        raise PlanError(f"plan kind is {plan.kind.value}, expected loss")
-    return inject(seq, plan)
-
-
-def inject_delay_freeze(seq: VideoSequence, plan: FreezePlan
-                        ) -> tuple[VideoSequence, FreezeTimeline]:
-    """Insert duplicates at each planned point and truncate the tail.
-
-    Content resumes with the next original frame, so the ground-truth
-    start of each later event shifts by the duplicates inserted before it.
-    """
-    if plan.kind is not FreezeKind.DELAY:
-        raise PlanError(f"plan kind is {plan.kind.value}, expected delay")
-    return inject(seq, plan)
 
 
 def inject(seq: VideoSequence, plan: FreezePlan) -> tuple[VideoSequence, FreezeTimeline]:

@@ -16,9 +16,9 @@ from typing import Iterable
 import numpy as np
 
 from .errors import ShapeError
-from .frame_analysis import FrameDiffSeries, background_fd, compute_series
+from .frame_analysis import FrameDiffSeries, compute_series
 from .freeze_detection import DetectorConfig, FreezeTimeline, detect_freezes
-from .video_io import LumaFrame
+from .video_io import LumaFrame, Y4MReader
 
 # Column order used everywhere a feature matrix or CSV is built.
 FEATURE_NAMES = (
@@ -105,7 +105,7 @@ def content_features(series: FrameDiffSeries, timeline: FreezeTimeline
     the jump from the last repeated frame to the first fresh one. Events
     running to the end of the sequence have no exit and contribute
     nothing. The background level averages the transitions that touch no
-    frozen frame and are not scene cuts.
+    frozen frame and are not scene cuts; it is 0 when none are left.
     """
     if timeline.frame_count != series.frame_count:
         raise ShapeError(
@@ -119,7 +119,9 @@ def content_features(series: FrameDiffSeries, timeline: FreezeTimeline
     ]
     avg_fz = float(np.mean(exit_fds)) if exit_fds else 0.0
     max_fz = float(np.max(exit_fds)) if exit_fds else 0.0
-    avg_bg, _all_excluded = background_fd(series, timeline)
+    frozen = timeline.frame_mask()
+    keep = ~series.scene_cut_flags & ~(frozen[:-1] | frozen[1:])
+    avg_bg = float(np.mean(series.values[keep])) if keep.any() else 0.0
     return {
         "AvgFzFD": avg_fz,
         "MaxFzFD": max_fz,
@@ -142,7 +144,7 @@ class VideoAnalysis:
     features: FeatureVector
 
 
-def analyze(source: Iterable[LumaFrame],
+def analyze(source: Iterable[LumaFrame] | Y4MReader,
             config: DetectorConfig | None = None) -> VideoAnalysis:
     """Full pipeline: differences, detection, features, in one pass.
 

@@ -1,4 +1,4 @@
-"""Frame-difference series, scene-cut flagging, background motion level.
+"""Frame-difference series and scene-cut flagging.
 
 The frame difference between consecutive frames is the mean of the squared
 per-pixel luma change. A block of frame pairs is walked in runs of at
@@ -14,15 +14,12 @@ arithmetic would: results are bit-exact and platform independent.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .errors import ShapeError, TooFewFrames
 from .video_io import LumaFrame, Y4MReader
-
-if TYPE_CHECKING:
-    from .freeze_detection import FreezeTimeline
 
 # A transition must exceed this multiple of the recent mean to count as a cut.
 SCENE_CUT_FACTOR = 5.0
@@ -125,7 +122,7 @@ def _frame_blocks(frames: Iterator[LumaFrame], width: int,
         yield rows[:filled]
 
 
-def compute_series(source: Iterable[LumaFrame]) -> FrameDiffSeries:
+def compute_series(source: Iterable[LumaFrame] | Y4MReader) -> FrameDiffSeries:
     """Frame-difference series for a sequence or a streamed frame source.
 
     The first frame fixes the geometry. The rest arrive in blocks of rows,
@@ -164,21 +161,3 @@ def compute_series(source: Iterable[LumaFrame]) -> FrameDiffSeries:
     values = np.concatenate(parts)
     return FrameDiffSeries(values=values, scene_cut_flags=detect_scene_cuts(values))
 
-
-def background_fd(series: FrameDiffSeries, timeline: "FreezeTimeline") -> tuple[float, bool]:
-    """Mean difference outside freezes and scene cuts.
-
-    A transition is inside a freeze if either of its endpoint frames belongs
-    to a freeze event. Returns (mean, all_excluded); when every transition is
-    excluded the mean is 0.0 and the flag is set instead of raising.
-    """
-    if timeline.frame_count != series.frame_count:
-        raise ShapeError(
-            f"timeline covers {timeline.frame_count} frames, "
-            f"series covers {series.frame_count}"
-        )
-    frozen = timeline.frame_mask()
-    keep = ~series.scene_cut_flags & ~(frozen[:-1] | frozen[1:])
-    if not keep.any():
-        return 0.0, True
-    return float(np.mean(series.values[keep])), False

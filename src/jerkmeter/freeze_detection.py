@@ -62,6 +62,8 @@ class FreezeTimeline:
     events: list[FreezeEvent]
     frame_count: int
     fps: float = 0.0
+    # The threshold a detection used; None on truth and plan timelines.
+    threshold: float | None = None
 
     def __post_init__(self):
         prev_end = 0
@@ -73,10 +75,6 @@ class FreezeTimeline:
                     f"event {ev} runs past the last frame ({self.frame_count})"
                 )
             prev_end = ev.end_frame + 1
-
-    @property
-    def total_frozen(self) -> int:
-        return sum(ev.duration for ev in self.events)
 
     def frame_mask(self) -> np.ndarray:
         """Boolean per-frame mask, True where the frame belongs to an event."""
@@ -124,7 +122,8 @@ def detect_freezes(series: FrameDiffSeries,
         for start, end in zip(edges[0::2].tolist(), edges[1::2].tolist())
         if end - start >= MIN_EVENT_FRAMES
     ]
-    return FreezeTimeline(events=events, frame_count=series.frame_count, fps=fps)
+    return FreezeTimeline(events=events, frame_count=series.frame_count, fps=fps,
+                          threshold=threshold)
 
 
 def _overlap(a: FreezeEvent, b: FreezeEvent) -> int:

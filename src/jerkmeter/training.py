@@ -60,9 +60,6 @@ class TrainingSample:
             object.__setattr__(self, "features", FeatureVector(
                 **{name: float(self.features[name]) for name in FEATURE_NAMES}))
 
-    def feature(self, name: str) -> float:
-        return float(self.features[name])
-
 
 @dataclass(frozen=True)
 class LMConfig:

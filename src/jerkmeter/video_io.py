@@ -2,9 +2,10 @@
 
 Only 8-bit planar formats are handled. One reader, ``Y4MReader``, serves
 both containers and streams frames in blocks or one at a time;
-``parse_y4m`` and ``parse_raw_yuv`` materialize its output. Chroma planes
-are read and carried along so files survive a parse/write round trip byte
-for byte, but all analysis downstream looks at the luma plane only.
+``VideoSequence.from_reader(Y4MReader(f))`` materializes a whole clip.
+Chroma planes are read and carried along so files survive a parse/write
+round trip byte for byte, but all analysis downstream looks at the luma
+plane only.
 """
 
 from __future__ import annotations
@@ -194,7 +195,7 @@ class Y4MReader:
     Reads Y4M when ``header`` is None, otherwise headerless planar YUV of
     the given geometry. ``luma_blocks`` hands out the luma planes of as
     many whole frames as fit in a byte budget, as views into the buffer;
-    ``read_frame`` and iteration hand out independent copies of one frame.
+    ``read_frame`` hands out an independent copy of one frame.
     Either way the buffer holds one block, or one frame when a frame is
     larger, plus one block of gathered copies once a marker other than a
     bare ``FRAME`` is met, so memory does not grow with the clip's length.
@@ -401,20 +402,6 @@ class Y4MReader:
         width, height, luma_size = self.header.width, self.header.height, self.header.luma_size
         samples = payload[0, :luma_size].reshape(height, width).copy()
         return LumaFrame(width, height, samples), payload[0, luma_size:].tobytes()
-
-    def __iter__(self) -> Iterator[LumaFrame]:
-        while (nxt := self.read_frame()) is not None:
-            yield nxt[0]
-
-
-def parse_y4m(stream: BinaryIO) -> VideoSequence:
-    """Materialize a whole Y4M stream, chroma included."""
-    return VideoSequence.from_reader(Y4MReader(stream))
-
-
-def parse_raw_yuv(stream: BinaryIO, header: VideoHeader) -> VideoSequence:
-    """Materialize headerless planar YUV; the caller supplies geometry."""
-    return VideoSequence.from_reader(Y4MReader(stream, header))
 
 
 def header_tokens(header: VideoHeader) -> tuple[str, ...]:

@@ -6,13 +6,19 @@ import pytest
 
 from jerkmeter import (
     FEATURE_NAMES,
+    DetectorConfig,
     FreezeKind,
     FreezePlan,
     add_capture_noise,
+    VideoSequence,
+    Y4MReader,
+    analyze,
+    compute_series,
+    freeze_threshold,
     inject,
     load_model,
-    parse_y4m,
 )
+from jerkmeter import freeze_detection
 from jerkmeter.cli import run
 
 from conftest import make_sequence, y4m_bytes
@@ -44,7 +50,7 @@ class TestSynth:
                                 "--fps", "30:1", "--out", str(out), "--json"])
         assert doc["frames"] == 12
         with open(out, "rb") as handle:
-            seq = parse_y4m(handle)
+            seq = VideoSequence.from_reader(Y4MReader(handle))
         assert seq.frame_count == 12
         assert seq.header.width == 32
         assert seq.header.fps == 30.0
@@ -83,6 +89,40 @@ class TestDegradeDetect:
         assert truth_doc["schema"] == 1
         assert truth_doc["events"][1]["start_frame"] == 34  # shifted by 4
 
+    @pytest.mark.parametrize("synth,term", [
+        (["--velocity", "0", "--noise", "0.01"], "epsilon_abs"),  # static, noisy
+        ([], "rel_factor"),
+    ])
+    def test_threshold_is_the_one_detection_used(self, tmp_path, capsys,
+                                                 monkeypatch, synth, term):
+        src, deg = tmp_path / "src.y4m", tmp_path / "deg.y4m"
+        assert run(["synth", "--frames", "60", "--size", "64x16",
+                    "--out", str(src), *synth]) == 0
+        assert run(["degrade", str(src), "--kind", "loss", "--events", "10:4,30:3",
+                    "--out", str(deg)]) == 0
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return freeze_threshold(*args)
+
+        monkeypatch.setattr(freeze_detection, "freeze_threshold", counted)
+        doc = run_json(capsys, ["detect", str(deg), "--json"])
+        assert len(calls) == 1
+        with open(deg, "rb") as handle:
+            series = compute_series(Y4MReader(handle))
+        config = DetectorConfig()
+        assert doc["threshold"] == freeze_threshold(series, config)
+        # max(epsilon_abs, rel_factor * median): which term set it.
+        assert (doc["threshold"] == config.epsilon_abs) == (term == "epsilon_abs")
+        with open(deg, "rb") as handle:
+            events = analyze(Y4MReader(handle)).timeline.events
+        assert doc["events"] == [{"start_frame": ev.start_frame, "duration": ev.duration}
+                                 for ev in events]
+        assert run_json(capsys, ["score", str(deg), "--json"])["events"] == doc["events"]
+        features = run_json(capsys, ["features", str(deg), "--json"])
+        assert features["NumFz"] == len(events) > 0
+
     def test_bad_events_string(self, clip, tmp_path):
         assert run(["degrade", str(clip), "--kind", "loss", "--events",
                     "oops", "--out", str(tmp_path / "d.y4m")]) == 1
@@ -100,7 +140,7 @@ class TestDegradeDetect:
         assert hashlib.sha256(deg.read_bytes()).hexdigest() == (
             "c30c171eebfdcdd2e4bf8a6da76f8c3c6bc46583dc5aa731c2ea0d997df2d002")
         with open(clip, "rb") as handle:
-            degraded, _ = inject(parse_y4m(handle),
+            degraded, _ = inject(VideoSequence.from_reader(Y4MReader(handle)),
                                  FreezePlan(FreezeKind.LOSS, [(10, 4), (30, 3)]))
         assert deg.read_bytes() == y4m_bytes(add_capture_noise(degraded, 0.02, seed=3))
 
@@ -188,7 +228,7 @@ class TestRawInput:
 
     def test_score_raw_matches_y4m(self, clip, tmp_path, capsys):
         with open(clip, "rb") as handle:
-            seq = parse_y4m(handle)
+            seq = VideoSequence.from_reader(Y4MReader(handle))
         raw = tmp_path / "clip.yuv"
         raw.write_bytes(b"".join(
             f.samples.tobytes() + c for f, c in zip(seq.frames, seq.chroma)))
@@ -264,6 +304,16 @@ class TestExitCodes:
         (["train", "--data", "OUT", "--out", "OUT", "--hidden", "x"],
          "comma-separated integers"),
         (["detect", "CLIP", "--epsilon-abs", "nan"], "a finite number"),
+        (["fd", "OUT", "--size", "0x0"], "WxH"),
+        (["score", "CLIP", "--fps", "0"], "N or N:D"),
+        (["score", "CLIP", "--fps", "25:0"], "N or N:D"),
+        (["synth", "--frames", "0", "--out", "OUT"], "at least 1"),
+        (["synth", "--frames", "5", "--out", "OUT", "--noise", "-1"],
+         "a number from 0 to 1"),
+        (["synth", "--frames", "5", "--out", "OUT", "--noise", "2"],
+         "a number from 0 to 1"),
+        (["degrade", "CLIP", "--kind", "loss", "--events", "10:4", "--out", "OUT",
+          "--capture-noise", "2"], "a number from 0 to 1"),
     ])
     def test_bad_flag_value_names_the_expected_form(self, clip, tmp_path, capsys,
                                                      argv, form):

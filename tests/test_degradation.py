@@ -17,8 +17,6 @@ from jerkmeter import (
     compute_series,
     gradient_video,
     inject,
-    inject_delay_freeze,
-    inject_loss_freeze,
     score_detection,
 )
 from jerkmeter.freeze_detection import MIN_EVENT_FRAMES
@@ -136,7 +134,7 @@ class TestLossInjection:
     def test_replaces_span_with_previous_frame(self):
         src = gradient_video(10, 64, 8)
         plan = FreezePlan(FreezeKind.LOSS, [(3, 3)])
-        out, truth = inject_loss_freeze(src, plan)
+        out, truth = inject(src, plan)
         assert out.frame_count == 10
         for i in (3, 4, 5):
             assert out.frames[i] == src.frames[2]
@@ -145,7 +143,7 @@ class TestLossInjection:
 
     def test_post_freeze_spike(self):
         src = gradient_video(10, 64, 8)
-        out, _ = inject_loss_freeze(src, FreezePlan(FreezeKind.LOSS, [(3, 3)]))
+        out, _ = inject(src, FreezePlan(FreezeKind.LOSS, [(3, 3)]))
         series = compute_series(out)
         assert series.values[2] == series.values[3] == series.values[4] == 0.0
         background = series.values[0]
@@ -153,13 +151,13 @@ class TestLossInjection:
 
     def test_empty_plan_is_identity(self):
         src = gradient_video(8, 64, 8)
-        out, truth = inject_loss_freeze(src, FreezePlan(FreezeKind.LOSS, []))
+        out, truth = inject(src, FreezePlan(FreezeKind.LOSS, []))
         assert out == src
         assert truth.events == []
 
     def test_event_to_last_frame_allowed(self):
         src = gradient_video(8, 64, 8)
-        out, truth = inject_loss_freeze(src, FreezePlan(FreezeKind.LOSS, [(5, 3)]))
+        out, truth = inject(src, FreezePlan(FreezeKind.LOSS, [(5, 3)]))
         assert out.frames[7] == src.frames[4]
         assert truth.events == [FreezeEvent(5, 3)]
 
@@ -173,18 +171,13 @@ class TestLossInjection:
     def test_bad_plans(self, events):
         src = gradient_video(10, 64, 8)
         with pytest.raises(PlanError):
-            inject_loss_freeze(src, FreezePlan(FreezeKind.LOSS, events))
-
-    def test_kind_mismatch(self):
-        src = gradient_video(10, 64, 8)
-        with pytest.raises(PlanError):
-            inject_loss_freeze(src, FreezePlan(FreezeKind.DELAY, [(3, 2)]))
+            inject(src, FreezePlan(FreezeKind.LOSS, events))
 
 
 class TestDelayInjection:
     def test_content_shifts_after_freeze(self):
         src = gradient_video(10, 64, 8)
-        out, truth = inject_delay_freeze(src, FreezePlan(FreezeKind.DELAY, [(3, 2)]))
+        out, truth = inject(src, FreezePlan(FreezeKind.DELAY, [(3, 2)]))
         assert out.frame_count == 10
         assert out.frames[:3] == src.frames[:3]
         assert out.frames[3] == src.frames[2]
@@ -195,44 +188,40 @@ class TestDelayInjection:
     def test_exit_transition_is_one_normal_step(self):
         src = gradient_video(10, 64, 8)
         baseline = compute_series(src).values[0]
-        out, _ = inject_delay_freeze(src, FreezePlan(FreezeKind.DELAY, [(3, 2)]))
+        out, _ = inject(src, FreezePlan(FreezeKind.DELAY, [(3, 2)]))
         series = compute_series(out)
         assert series.values[4] == baseline
 
     def test_cumulative_shift_bookkeeping(self):
         src = gradient_video(20, 64, 8)
-        out, truth = inject_delay_freeze(
-            src, FreezePlan(FreezeKind.DELAY, [(3, 2), (8, 2)]))
+        out, truth = inject(src, FreezePlan(FreezeKind.DELAY, [(3, 2), (8, 2)]))
         assert truth.events == [FreezeEvent(3, 2), FreezeEvent(10, 2)]
         # After both freezes the content lags by 4 original frames.
         assert out.frames[19] == src.frames[15]
 
     def test_empty_plan_is_identity(self):
         src = gradient_video(8, 64, 8)
-        out, truth = inject_delay_freeze(src, FreezePlan(FreezeKind.DELAY, []))
+        out, truth = inject(src, FreezePlan(FreezeKind.DELAY, []))
         assert out == src
         assert truth.events == []
 
     def test_truncation_cutting_an_event_rejected(self):
         src = gradient_video(10, 64, 8)
         with pytest.raises(PlanError):
-            inject_delay_freeze(src, FreezePlan(FreezeKind.DELAY, [(8, 4)]))
+            inject(src, FreezePlan(FreezeKind.DELAY, [(8, 4)]))
 
     def test_overlong_plan_rejected(self):
         src = gradient_video(6, 64, 8)
         with pytest.raises(PlanError):
-            inject_delay_freeze(src, FreezePlan(FreezeKind.DELAY, [(1, 6)]))
+            inject(src, FreezePlan(FreezeKind.DELAY, [(1, 6)]))
 
 
 class TestDetectionTieIn:
-    @pytest.mark.parametrize("kind,injector", [
-        (FreezeKind.LOSS, inject_loss_freeze),
-        (FreezeKind.DELAY, inject_delay_freeze),
-    ])
-    def test_noiseless_injection_detected_perfectly(self, kind, injector):
+    @pytest.mark.parametrize("kind", [FreezeKind.LOSS, FreezeKind.DELAY])
+    def test_noiseless_injection_detected_perfectly(self, kind):
         src = gradient_video(80, 64, 16)
         plan = FreezePlan(kind, [(10, 4), (30, 2), (50, 9)])
-        degraded, truth = injector(src, plan)
+        degraded, truth = inject(src, plan)
         result = analyze(degraded)
         report = score_detection(result.timeline, truth)
         assert report.detection_rate == 1.0
@@ -241,8 +230,8 @@ class TestDetectionTieIn:
     def test_rfd_separates_kinds(self):
         src = gradient_video(80, 64, 16)
         events = [(10, 4), (30, 6)]
-        lossy, _ = inject_loss_freeze(src, FreezePlan(FreezeKind.LOSS, events))
-        delayed, _ = inject_delay_freeze(src, FreezePlan(FreezeKind.DELAY, events))
+        lossy, _ = inject(src, FreezePlan(FreezeKind.LOSS, events))
+        delayed, _ = inject(src, FreezePlan(FreezeKind.DELAY, events))
         assert analyze(lossy).features.rFD > 1.0
         assert 0.5 <= analyze(delayed).features.rFD <= 2.0
 
@@ -266,7 +255,7 @@ class TestCaptureNoise:
 
     def test_duplicated_frames_stop_being_identical(self):
         src = gradient_video(12, 32, 32)
-        frozen, _ = inject_loss_freeze(src, FreezePlan(FreezeKind.LOSS, [(4, 3)]))
+        frozen, _ = inject(src, FreezePlan(FreezeKind.LOSS, [(4, 3)]))
         noisy = add_capture_noise(frozen, 0.02, seed=1)
         series = compute_series(noisy)
         assert series.values[3] > 0.0
@@ -300,5 +289,5 @@ class TestFrameMap:
         # timeline accepts; in source frames 4 starts inside the first one.
         src = gradient_video(12, 64, 8)
         with pytest.raises(PlanError):
-            inject_delay_freeze(src, FreezePlan(FreezeKind.DELAY, [(3, 2), (4, 2)]))
+            inject(src, FreezePlan(FreezeKind.DELAY, [(3, 2), (4, 2)]))
         FreezeTimeline([FreezeEvent(3, 2), FreezeEvent(6, 2)], frame_count=12)

@@ -13,13 +13,12 @@ from jerkmeter import (
     FreezePlan,
     FreezeTimeline,
     ShapeError,
+    VideoSequence,
     Y4MReader,
     analyze,
     extract,
     gradient_video,
     inject,
-    parse_raw_yuv,
-    parse_y4m,
 )
 from jerkmeter.features import content_features, freeze_pattern_features
 
@@ -249,7 +248,7 @@ class TestAnalyzeSources:
     def test_y4m(self, degraded):
         data = y4m_bytes(degraded)
         self.assert_same(analyze(Y4MReader(io.BytesIO(data))),
-                         analyze(parse_y4m(io.BytesIO(data))),
+                         analyze(VideoSequence.from_reader(Y4MReader(io.BytesIO(data)))),
                          degraded.header.fps)
 
     def test_raw(self, degraded):
@@ -257,5 +256,5 @@ class TestAnalyzeSources:
         data = b"".join(f.samples.tobytes() + c
                         for f, c in zip(degraded.frames, degraded.chroma))
         self.assert_same(analyze(Y4MReader(io.BytesIO(data), header)),
-                         analyze(parse_raw_yuv(io.BytesIO(data), header)),
+                         analyze(VideoSequence.from_reader(Y4MReader(io.BytesIO(data), header))),
                          header.fps)

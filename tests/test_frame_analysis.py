@@ -22,7 +22,7 @@ from jerkmeter import (
     frame_diff,
 )
 from jerkmeter import frame_analysis
-from jerkmeter.frame_analysis import background_fd
+from jerkmeter.features import content_features
 
 from conftest import frame, random_frames, y4m_bytes
 
@@ -285,27 +285,27 @@ def make_series(values, cuts=None):
 
 
 class TestBackgroundFd:
+    """The background motion level, ``content_features``' AvgBgFD."""
+
     def test_excludes_freeze_adjacent_transitions(self):
         # 6 frames, event on frames 2-3: transitions 1,2,3 touch it.
         series = make_series([10, 0, 0, 40, 20])
         timeline = FreezeTimeline([FreezeEvent(2, 2)], frame_count=6)
-        mean, all_excluded = background_fd(series, timeline)
-        assert not all_excluded
-        assert mean == (10 + 20) / 2
+        assert content_features(series, timeline)["AvgBgFD"] == (10 + 20) / 2
 
     def test_excludes_scene_cuts(self):
         series = make_series([10, 20, 900], cuts=[2])
         timeline = FreezeTimeline([], frame_count=4)
-        mean, all_excluded = background_fd(series, timeline)
-        assert mean == 15.0 and not all_excluded
+        assert content_features(series, timeline)["AvgBgFD"] == 15.0
 
     def test_all_excluded(self):
-        series = make_series([0, 0, 0])
+        # Every transition touches the event: 0, not the mean of 5, 7, 9.
+        series = make_series([5, 7, 9])
         timeline = FreezeTimeline([FreezeEvent(1, 3)], frame_count=4)
-        assert background_fd(series, timeline) == (0.0, True)
+        assert content_features(series, timeline)["AvgBgFD"] == 0.0
 
     def test_frame_count_mismatch(self):
         series = make_series([1, 2, 3])
         timeline = FreezeTimeline([], frame_count=99)
         with pytest.raises(ShapeError):
-            background_fd(series, timeline)
+            content_features(series, timeline)

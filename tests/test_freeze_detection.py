@@ -150,7 +150,7 @@ class TestEventValidation:
         assert timeline.frame_mask().tolist() == [
             False, True, True, False, False, True, True, False,
         ]
-        assert timeline.total_frozen == 4
+        assert timeline.frame_mask().sum() == 4
 
 
 class TestScoreDetection:

@@ -116,12 +116,29 @@ class TestFuzz:
     @example(data=DEEP)
     @example(data="{")
     @example(data=b'{"frame_count": 3, "events": [], "fps": "\xff"}')
+    @example(data='{"frame_count": 40, "events": [{"start_frame": 10.9, "duration": 4}]}')
+    @example(data='{"frame_count": 40.5, "events": []}')
+    @example(data='{"frame_count": 40, "events": [], "fps": "nan"}')
+    @example(data='{"frame_count": 40, "events": [], "fps": NaN}')
+    @example(data='{"frame_count": "40", "events": []}')
+    @example(data='{"frame_count": 40, "events": [{"start_frame": 10, "duration": true}]}')
     def test_truth_json(self, data):
         handle = io.TextIOWrapper(io.BytesIO(as_bytes(data)), encoding="utf-8")
         try:
-            assert isinstance(_timeline_from_doc(handle), FreezeTimeline)
+            timeline = _timeline_from_doc(handle)
         except ConfigError:
-            pass
+            return
+        assert isinstance(timeline, FreezeTimeline)
+        # A timeline only for exactly what the document states: frame numbers
+        # that are JSON integers, a finite JSON number for fps; nothing rounded.
+        doc = json.loads(as_bytes(data).decode("utf-8"))
+        stated = [doc["frame_count"]] + [
+            ev[key] for ev in doc["events"] for key in ("start_frame", "duration")]
+        parsed = [timeline.frame_count] + [
+            n for ev in timeline.events for n in (ev.start_frame, ev.duration)]
+        assert all(type(n) is int for n in stated) and parsed == stated
+        fps = doc.get("fps", 0.0)
+        assert type(fps) in (int, float) and timeline.fps == fps
 
 
 class TestHandFoundCases:
@@ -166,10 +183,13 @@ class TestCli:
         ("detect", '{"frame_count": 1e999, "events": []}', 1),
         ("detect", DEEP, 1),
         ("detect", '{"frame_count": 6, ', 1),
+        ("detect", '{"frame_count": 6.5, "events": []}', 1),
+        ("detect", '{"frame_count": 6, "events": [], "fps": "nan"}', 1),
         ("eval", "id,source_id,dmos\n" + HUGE_FIELD + ",a,1\n", 1),
         ("eval", b"id,source_id,dmos\n\xff,a,1\n", 1),
     ], ids=["model-not-utf8", "model-deep", "truth-overflow", "truth-deep",
-            "truth-syntax", "csv-huge-field", "csv-not-utf8"])
+            "truth-syntax", "truth-fractional-count", "truth-fps-string",
+            "csv-huge-field", "csv-not-utf8"])
     def test_malformed_file(self, clip, tmp_path, capsys, command, data, code):
         path = tmp_path / "input"
         path.write_bytes(as_bytes(data))

@@ -729,8 +729,8 @@ class TestNormalizationHelpers:
         samples = make_samples(rng, 4, lambda f: 0.0)
         x, y = design_matrix(samples, ("rFD", "NumFz"))
         assert x.shape == (4, 2)
-        assert x[0, 0] == samples[0].feature("rFD")
-        assert x[0, 1] == samples[0].feature("NumFz")
+        assert x[0, 0] == samples[0].features["rFD"]
+        assert x[0, 1] == samples[0].features["NumFz"]
 
 
 class TestCsvIngestion:
@@ -742,21 +742,20 @@ class TestCsvIngestion:
         samples = load_samples_csv(path)
         assert len(samples) == 1
         assert samples[0].dmos == 3.5
-        assert samples[0].feature("NumFz") == 0.0
-        assert samples[0].feature("rFD") == 12.0
+        assert samples[0].features["NumFz"] == 0.0
+        assert samples[0].features["rFD"] == 12.0
         assert samples[0].source_id == "srcA"
 
     def test_path_column(self, tmp_path):
-        from jerkmeter import FreezeKind, FreezePlan, gradient_video, inject_loss_freeze, write_y4m
+        from jerkmeter import FreezeKind, FreezePlan, gradient_video, inject, write_y4m
         src = gradient_video(40, 64, 8)
-        degraded, _ = inject_loss_freeze(
-            src, FreezePlan(FreezeKind.LOSS, [(10, 4)]))
+        degraded, _ = inject(src, FreezePlan(FreezeKind.LOSS, [(10, 4)]))
         with open(tmp_path / "clip.y4m", "wb") as handle:
             write_y4m(degraded, handle)
         (tmp_path / "samples.csv").write_text(
             "id,source_id,dmos,path\nc1,s1,2.5,clip.y4m\n")
         samples = load_samples_csv(tmp_path / "samples.csv")
-        assert samples[0].feature("NumFz") == 1.0
+        assert samples[0].features["NumFz"] == 1.0
         assert samples[0].dmos == 2.5
 
     def test_missing_base_column(self, tmp_path):

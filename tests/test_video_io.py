@@ -21,8 +21,6 @@ from jerkmeter import (
     VideoSequence,
     Y4MReader,
     compute_series,
-    parse_raw_yuv,
-    parse_y4m,
     write_y4m,
 )
 from jerkmeter import frame_analysis, video_io
@@ -40,7 +38,7 @@ def simple_y4m(params=b"W4 H2 F25:1", frames=(bytes(range(8)),), chroma=(b"\x80"
 
 class TestHeaderParsing:
     def test_minimal_header(self):
-        seq = parse_y4m(io.BytesIO(simple_y4m()))
+        seq = VideoSequence.from_reader(Y4MReader(io.BytesIO(simple_y4m())))
         assert seq.header.width == 4
         assert seq.header.height == 2
         assert seq.header.fps_num == 25
@@ -51,7 +49,7 @@ class TestHeaderParsing:
 
     def test_extra_params_preserved(self):
         params = b"W4 H2 F30000:1001 Ip A1:1 C420jpeg XYSCSS=420JPEG"
-        seq = parse_y4m(io.BytesIO(simple_y4m(params)))
+        seq = VideoSequence.from_reader(Y4MReader(io.BytesIO(simple_y4m(params))))
         assert seq.header.raw_params == (
             "W4", "H2", "F30000:1001", "Ip", "A1:1", "C420jpeg", "XYSCSS=420JPEG",
         )
@@ -72,17 +70,17 @@ class TestHeaderParsing:
 
     def test_missing_signature(self):
         with pytest.raises(ParseError) as exc:
-            parse_y4m(io.BytesIO(b"AVI xxxx\n"))
+            VideoSequence.from_reader(Y4MReader(io.BytesIO(b"AVI xxxx\n")))
         assert exc.value.position == 0
 
     @pytest.mark.parametrize("params", [b"H2 F25:1", b"W4 F25:1", b"W4 H2"])
     def test_missing_required_token(self, params):
         with pytest.raises(ParseError):
-            parse_y4m(io.BytesIO(simple_y4m(params)))
+            VideoSequence.from_reader(Y4MReader(io.BytesIO(simple_y4m(params))))
 
     def test_bad_frame_rate(self):
         with pytest.raises(ParseError):
-            parse_y4m(io.BytesIO(simple_y4m(b"W4 H2 F25")))
+            VideoSequence.from_reader(Y4MReader(io.BytesIO(simple_y4m(b"W4 H2 F25"))))
 
     @pytest.mark.parametrize("params,offset", [
         (b"W4_0 H2 F25:1", 10), (b"W+4 H2 F25:1", 10), (b"W H2 F25:1", 10),
@@ -92,20 +90,20 @@ class TestHeaderParsing:
     ])
     def test_numbers_are_plain_decimal_digits(self, params, offset):
         with pytest.raises(ParseError) as exc:
-            parse_y4m(io.BytesIO(simple_y4m(params)))
+            VideoSequence.from_reader(Y4MReader(io.BytesIO(simple_y4m(params))))
         assert exc.value.position == offset
 
     def test_unsupported_chroma(self):
         with pytest.raises(UnsupportedFormat):
-            parse_y4m(io.BytesIO(simple_y4m(b"W4 H2 F25:1 C420p16")))
+            VideoSequence.from_reader(Y4MReader(io.BytesIO(simple_y4m(b"W4 H2 F25:1 C420p16"))))
 
     def test_unterminated_header(self):
         with pytest.raises(ParseError):
-            parse_y4m(io.BytesIO(b"YUV4MPEG2 W4 H2 F25:1"))
+            VideoSequence.from_reader(Y4MReader(io.BytesIO(b"YUV4MPEG2 W4 H2 F25:1")))
 
     def test_overlong_header(self):
         with pytest.raises(ParseError) as exc:
-            parse_y4m(io.BytesIO(simple_y4m(b"W4 H2 F25:1 X" + b"y" * 5000)))
+            Y4MReader(io.BytesIO(simple_y4m(b"W4 H2 F25:1 X" + b"y" * 5000)))
         assert exc.value.position == 0
 
 
@@ -113,16 +111,16 @@ class TestFramePayloads:
     def test_truncated_frame_carries_index(self):
         data = simple_y4m() + b"FRAME\n" + b"\x00" * 5  # second frame short
         with pytest.raises(TruncatedFrame) as exc:
-            parse_y4m(io.BytesIO(data))
+            VideoSequence.from_reader(Y4MReader(io.BytesIO(data)))
         assert exc.value.frame_index == 1
 
     def test_garbage_frame_marker(self):
         data = b"YUV4MPEG2 W4 H2 F25:1\nGRAME\n" + bytes(12)
         with pytest.raises(ParseError):
-            parse_y4m(io.BytesIO(data))
+            VideoSequence.from_reader(Y4MReader(io.BytesIO(data)))
 
     def test_zero_frames_ok(self):
-        seq = parse_y4m(io.BytesIO(b"YUV4MPEG2 W4 H2 F25:1\n"))
+        seq = VideoSequence.from_reader(Y4MReader(io.BytesIO(b"YUV4MPEG2 W4 H2 F25:1\n")))
         assert seq.frame_count == 0
 
     def test_frame_params_on_marker_line_accepted(self, rng):
@@ -132,7 +130,8 @@ class TestFramePayloads:
         with_params = parts[0] + b"".join(
             marker + part for marker, part in
             zip((b"FRAME Ixyz\n", b"FRAME\n", b"FRAME Ip Xa=1\n", b"FRAME \n"), parts[1:]))
-        assert parse_y4m(io.BytesIO(with_params)) == seq == parse_y4m(io.BytesIO(plain))
+        assert (VideoSequence.from_reader(Y4MReader(io.BytesIO(with_params)))
+                == seq == VideoSequence.from_reader(Y4MReader(io.BytesIO(plain))))
 
     @pytest.mark.parametrize("tail,offset,reason", [
         (b"GRAME\n" + bytes(12), 0, "expected FRAME marker"),
@@ -147,7 +146,7 @@ class TestFramePayloads:
     def test_bad_second_marker_offsets(self, tail, offset, reason):
         data = simple_y4m()
         with pytest.raises(ParseError) as exc:
-            parse_y4m(io.BytesIO(data + tail))
+            VideoSequence.from_reader(Y4MReader(io.BytesIO(data + tail)))
         assert exc.value.position == len(data) + offset
         assert exc.value.reason.startswith(reason)
 
@@ -206,12 +205,12 @@ class TestLumaFrame:
 class TestRoundTrip:
     def test_write_then_parse_is_identity(self, rng):
         seq = make_sequence(rng, count=5)
-        again = parse_y4m(io.BytesIO(y4m_bytes(seq)))
+        again = VideoSequence.from_reader(Y4MReader(io.BytesIO(y4m_bytes(seq))))
         assert again == seq
 
     def test_parsed_stream_rewrites_byte_identical(self):
         original = simple_y4m(b"W4 H2 F30000:1001 Ip A1:1 C420 XWEIRD=1")
-        seq = parse_y4m(io.BytesIO(original))
+        seq = VideoSequence.from_reader(Y4MReader(io.BytesIO(original)))
         assert y4m_bytes(seq) == original
 
     def test_canonical_tokens_for_synthetic_header(self):
@@ -234,8 +233,8 @@ class TestRoundTrip:
         chroma = [rng.bytes(header.chroma_size) for _ in range(count)]
         seq = VideoSequence(header=header, frames=frames, chroma=chroma)
         data = y4m_bytes(seq)
-        assert parse_y4m(io.BytesIO(data)) == seq
-        assert y4m_bytes(parse_y4m(io.BytesIO(data))) == data
+        assert VideoSequence.from_reader(Y4MReader(io.BytesIO(data))) == seq
+        assert y4m_bytes(VideoSequence.from_reader(Y4MReader(io.BytesIO(data)))) == data
 
 
 class TestRawYuv:
@@ -246,7 +245,7 @@ class TestRawYuv:
         payload = b"".join(
             f.samples.tobytes() + c for f, c in zip(frames, chroma)
         )
-        seq = parse_raw_yuv(io.BytesIO(payload), header)
+        seq = VideoSequence.from_reader(Y4MReader(io.BytesIO(payload), header))
         assert seq.frames == frames
         assert seq.chroma == chroma
 
@@ -254,22 +253,22 @@ class TestRawYuv:
         header = VideoHeader(width=4, height=2, fps_num=25, fps_den=1)
         payload = bytes(header.frame_size) + b"\x00\x01\x02"
         with pytest.raises(TrailingBytes) as exc:
-            parse_raw_yuv(io.BytesIO(payload), header)
+            VideoSequence.from_reader(Y4MReader(io.BytesIO(payload), header))
         assert exc.value.remainder == 3
 
     def test_iter_matches_parse(self, rng):
         header = VideoHeader(width=4, height=2, fps_num=25, fps_den=1)
         payload = rng.bytes(header.frame_size * 3)
-        materialized = parse_raw_yuv(io.BytesIO(payload), header)
+        materialized = VideoSequence.from_reader(Y4MReader(io.BytesIO(payload), header))
         reader = Y4MReader(io.BytesIO(payload), header)
         assert reader.header is header
-        assert list(reader) == materialized.frames
+        assert [f for f, _ in iter(reader.read_frame, None)] == materialized.frames
         assert len(materialized.frames) == 3
 
     def test_mono_has_empty_chroma(self, rng):
         header = VideoHeader(width=3, height=3, fps_num=25, fps_den=1,
                              chroma=ChromaFormat.MONO)
-        seq = parse_raw_yuv(io.BytesIO(rng.bytes(9 * 2)), header)
+        seq = VideoSequence.from_reader(Y4MReader(io.BytesIO(rng.bytes(9 * 2)), header))
         assert seq.frame_count == 2
         assert seq.chroma == [b"", b""]
 
@@ -278,13 +277,13 @@ class TestStreaming:
     def test_reader_yields_same_frames(self, rng):
         seq = make_sequence(rng, count=6)
         reader = Y4MReader(io.BytesIO(y4m_bytes(seq)))
-        assert list(reader) == seq.frames
+        assert [f for f, _ in iter(reader.read_frame, None)] == seq.frames
 
     def test_iteration_releases_earlier_frames(self, rng):
         seq = make_sequence(rng, count=12)
         reader = Y4MReader(io.BytesIO(y4m_bytes(seq)))
         refs = []
-        for f in iter(reader):
+        for f, _ in iter(reader.read_frame, None):
             refs.append(weakref.ref(f))
         del f
         gc.collect()
@@ -330,21 +329,21 @@ class TestBoundedReads:
         stream = _RecordingStream(
             b"YUV4MPEG2 W60000 H60000 F25:1\nFRAME\n" + bytes(13))
         with pytest.raises(TruncatedFrame) as exc:
-            parse_y4m(stream)
+            VideoSequence.from_reader(Y4MReader(stream))
         assert exc.value.frame_index == 0
         assert 0 < stream.largest <= video_io._READ_CHUNK
 
     def test_lying_raw_geometry_is_trailing_bytes(self):
         stream = _RecordingStream(bytes(13))
         with pytest.raises(TrailingBytes) as exc:
-            list(Y4MReader(stream, self.HUGE))
+            Y4MReader(stream, self.HUGE).read_frame()
         assert exc.value.remainder == 13
         assert 0 < stream.largest <= video_io._READ_CHUNK
 
     def test_short_reads_are_completed(self, rng):
         seq = make_sequence(rng, count=4, width=8, height=6)
         stream = Trickle(y4m_bytes(seq))
-        assert parse_y4m(stream) == seq
+        assert VideoSequence.from_reader(Y4MReader(stream)) == seq
         assert stream.largest > 7
 
     def test_payload_spanning_many_chunks(self, rng, monkeypatch):
@@ -352,7 +351,7 @@ class TestBoundedReads:
         data = y4m_bytes(seq)
         monkeypatch.setattr(video_io, "_READ_CHUNK", 5)
         stream = _RecordingStream(data)
-        assert parse_y4m(stream) == seq
+        assert VideoSequence.from_reader(Y4MReader(stream)) == seq
         assert stream.largest == 5
 
 
@@ -450,9 +449,8 @@ class TestBlockReads:
             return compute_series(Y4MReader(stream(data), given_header))
 
         def frame_by_frame():
-            if raw:
-                return compute_series(parse_raw_yuv(stream(data), header).frames)
-            return compute_series(parse_y4m(stream(data)).frames)
+            seq = VideoSequence.from_reader(Y4MReader(stream(data), given_header))
+            return compute_series(seq.frames)
 
         expected = _expected(header, raw, frames, markers, cut, start)
         with mock.patch.object(frame_analysis, "_BLOCK_BYTES", block_bytes):
