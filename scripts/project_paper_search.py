@@ -26,7 +26,8 @@ from jerkmeter import (
     TrainingSample,
     cross_validate,
 )
-from jerkmeter.training import _claimed_map, _worker_count, enumerate_combinations
+from jerkmeter.pool import _claimed_map, _worker_count
+from jerkmeter.training import enumerate_combinations
 
 ROWS = 80
 SAMPLE = 24

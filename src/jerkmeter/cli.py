@@ -34,6 +34,7 @@ from .eval_metrics import evaluate
 from .features import FEATURE_NAMES, analyze
 from .frame_analysis import compute_series
 from .freeze_detection import DetectorConfig, FreezeEvent, FreezeTimeline, score_detection
+from .pool import cpu_count
 from .quality_model import default_model, load_model, save_model, score_features
 from .training import (
     LMConfig,
@@ -74,10 +75,18 @@ def _at_least_1(text: str) -> int:
     return value
 
 
-@_expects("WxH, both at least 1")
-def _parse_size(text: str) -> tuple[int, int]:
+def _size(text: str) -> tuple[int, int]:
     w, h = text.lower().split("x")
     return _at_least_1(w), _at_least_1(h)
+
+
+@_expects("WxH, both even and at least 2")
+def _parse_even_size(text: str) -> tuple[int, int]:
+    """A size ``synth`` can write: its ramp needs width 2, its 4:2:0 even sides."""
+    width, height = _size(text)
+    if width % 2 or height % 2:
+        raise ValueError(text)
+    return width, height
 
 
 @_expects("N or N:D, both at least 1")
@@ -110,6 +119,7 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
     return tuple(int(p) for p in text.split(",") if p.strip())
 
 
+_parse_size = _expects("WxH, both at least 1")(_size)
 _parse_count = _expects("an integer of at least 1")(_at_least_1)
 _parse_finite = _expects("a finite number")(_finite_float)
 
@@ -130,6 +140,12 @@ def _open_video(path: str, args) -> Iterator[Y4MReader]:
 
 def _detector_config(args) -> DetectorConfig:
     return DetectorConfig(epsilon_abs=args.epsilon_abs, rel_factor=args.rel_factor)
+
+
+def _analyze_input(args):
+    """Analyze the input clip on the CPUs this process may run on."""
+    with _open_video(args.input, args) as reader:
+        return analyze(reader, config=_detector_config(args), workers=cpu_count())
 
 
 def _load_model_arg(args):
@@ -221,7 +237,7 @@ def _cmd_degrade(args) -> int:
 
 def _cmd_fd(args) -> int:
     with _open_video(args.input, args) as reader:
-        series = compute_series(reader)
+        series = compute_series(reader, workers=cpu_count())
     doc = {
         "frame_count": series.frame_count,
         "fps": reader.header.fps,
@@ -240,8 +256,7 @@ def _cmd_fd(args) -> int:
 
 
 def _cmd_detect(args) -> int:
-    with _open_video(args.input, args) as reader:
-        timeline = analyze(reader, config=_detector_config(args)).timeline
+    timeline = _analyze_input(args).timeline
     doc = {"threshold": timeline.threshold, **_timeline_doc(timeline)}
     if args.truth:
         with open(args.truth, encoding="utf-8") as handle:
@@ -272,8 +287,7 @@ def _cmd_detect(args) -> int:
 
 
 def _cmd_features(args) -> int:
-    with _open_video(args.input, args) as reader:
-        result = analyze(reader, config=_detector_config(args))
+    result = _analyze_input(args)
     doc = dict(result.features.as_dict())
     doc["frame_count"] = result.timeline.frame_count
     doc["fps"] = result.timeline.fps
@@ -288,8 +302,7 @@ def _cmd_features(args) -> int:
 
 def _cmd_score(args) -> int:
     model = _load_model_arg(args)
-    with _open_video(args.input, args) as reader:
-        result = analyze(reader, config=_detector_config(args))
+    result = _analyze_input(args)
     score = score_features(result.features, model)
     doc = {
         "dmos_pred": score.dmos_pred,
@@ -408,7 +421,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("synth", parents=[common, seeded],
                        help="generate a synthetic clip")
     p.add_argument("--frames", type=_parse_count, required=True)
-    p.add_argument("--size", type=_parse_size, default="64x64")
+    p.add_argument("--size", type=_parse_even_size, default="64x64")
     p.add_argument("--fps", type=_parse_fps, default="25:1")
     p.add_argument("--noise", type=_parse_density, default=0.0,
                    help="density of +/-1 pixel perturbations per frame")

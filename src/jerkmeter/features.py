@@ -145,15 +145,17 @@ class VideoAnalysis:
 
 
 def analyze(source: Iterable[LumaFrame] | Y4MReader,
-            config: DetectorConfig | None = None) -> VideoAnalysis:
+            config: DetectorConfig | None = None, workers: int = 1) -> VideoAnalysis:
     """Full pipeline: differences, detection, features, in one pass.
 
     ``source`` is a ``VideoSequence``, a ``Y4MReader`` or any frame
     iterable; the frame rate is its ``header``'s if it has one, else 0.
+    A large ``Y4MReader`` file is differenced on up to ``workers``
+    processes (see ``compute_series``); the result is the same for any count.
     """
     header = getattr(source, "header", None)
     fps = header.fps if header is not None else 0.0
-    series = compute_series(source)
+    series = compute_series(source, workers)
     timeline = detect_freezes(series, config=config, fps=fps)
     return VideoAnalysis(series=series, timeline=timeline,
                          features=extract(series, timeline))

@@ -18,7 +18,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import ShapeError, TooFewFrames
+from .errors import JerkmeterError, ShapeError, TooFewFrames
+from .pool import _claimed_map, _worker_count
 from .video_io import LumaFrame, Y4MReader
 
 # A transition must exceed this multiple of the recent mean to count as a cut.
@@ -27,6 +28,11 @@ SCENE_CUT_HISTORY = 5
 # compute_series reads and differences as many frames at once as fit in
 # this many bytes, at least one.
 _BLOCK_BYTES = 1 << 18
+# compute_series splits a clip into frame ranges on several processes only
+# from this many unread bytes on. On 2 CPUs two ranges broke even between
+# 16 and 24 MiB at 64x64 and at 1280x720, and won at 32 MiB
+# (floor_sweep in BENCH_split.json).
+_SPLIT_BYTES = 1 << 25
 # Most squared uint8 differences a uint32 sum holds: 255**2 * 66051 < 2**32.
 _SUM32_PIXELS = 66051
 
@@ -122,8 +128,8 @@ def _frame_blocks(frames: Iterator[LumaFrame], width: int,
         yield rows[:filled]
 
 
-def compute_series(source: Iterable[LumaFrame] | Y4MReader) -> FrameDiffSeries:
-    """Frame-difference series for a sequence or a streamed frame source.
+def _series_values(source: Iterable[LumaFrame] | Y4MReader) -> np.ndarray:
+    """Differences of the remaining frames of ``source``; empty for fewer than two.
 
     The first frame fixes the geometry. The rest arrive in blocks of rows,
     views into a ``Y4MReader``'s buffer or copies from any other source.
@@ -141,7 +147,7 @@ def compute_series(source: Iterable[LumaFrame] | Y4MReader) -> FrameDiffSeries:
         frames = iter(source)
         first = next(frames, None)
     if first is None:
-        raise TooFewFrames("need at least two frames to form a difference")
+        return np.empty(0)
     width, height = first.width, first.height
     last = np.empty((1, width * height), dtype=np.uint8)
     last.reshape(height, width)[...] = first.samples
@@ -150,14 +156,79 @@ def compute_series(source: Iterable[LumaFrame] | Y4MReader) -> FrameDiffSeries:
         blocks = source.luma_blocks(_BLOCK_BYTES)
     else:
         blocks = _frame_blocks(frames, width, height)
-    parts = []
+    parts = [np.empty(0)]
     for rows in blocks:
         parts.append(_fd_pairs(last, rows[:1]))
         if len(rows) > 1:
             parts.append(_fd_pairs(rows[:-1], rows[1:]))
         last[0] = rows[-1]
-    if not parts:
-        raise TooFewFrames("need at least two frames to form a difference")
-    values = np.concatenate(parts)
-    return FrameDiffSeries(values=values, scene_cut_flags=detect_scene_cuts(values))
+    return np.concatenate(parts)
 
+
+def _split_values(source: Y4MReader, workers: int) -> np.ndarray | None:
+    """Differences of ``source``'s remaining frames, range by range on up to
+    ``workers`` processes; None, with ``source`` unread, if the clip does not split.
+
+    It splits when it is a regular file of at least ``_SPLIT_BYTES`` unread
+    bytes and two records per range, and one ``pread`` per range finds a
+    bare ``FRAME`` marker where the range starts if every marker is bare.
+    Range k reads frames ``starts[k]`` to ``starts[k+1]``, one frame of
+    overlap, through a stream that ends where its last record should; the
+    last range reads to the end of the file. A range is clean when it
+    raised nothing and, but for the last, gave one value per frame step:
+    any other marker is longer and leaves the stream short. So a clean
+    range proves where the next one starts. The clean ranges are used in
+    order; from the first other one, this process reads on serially, so
+    an error is the one a serial read raises, frame index and offset alike.
+    """
+    records = source._unread_records()
+    if records * source._record < _SPLIT_BYTES:
+        return None
+    parts = _worker_count(workers, records // 2)
+    if parts < 2:
+        return None
+    starts = [k * records // parts for k in range(parts)]
+    stops = [start + 1 for start in starts[1:]] + [None]
+    readers = [source._reader_from(start, stop) for start, stop in zip(starts, stops)]
+    if any(reader is None for reader in readers):
+        return None
+
+    def clean_values(k):
+        try:
+            values = _series_values(readers[k])
+        except Exception:  # the serial read below raises it where it belongs
+            return None
+        if stops[k] is not None and len(values) != starts[k + 1] - starts[k]:
+            return None
+        return values
+
+    try:
+        ranges = _claimed_map(clean_values, parts, parts)
+    except JerkmeterError:  # a child died before reporting: read it all here
+        ranges = [None]
+    values = []
+    for k, part in enumerate(ranges):
+        if part is None:
+            rest = source if k == 0 else source._reader_from(starts[k])
+            values.append(_series_values(rest))
+            break
+        values.append(part)
+    return np.concatenate(values)
+
+
+def compute_series(source: Iterable[LumaFrame] | Y4MReader,
+                   workers: int = 1) -> FrameDiffSeries:
+    """Frame-difference series for a sequence or a streamed frame source.
+
+    A ``Y4MReader`` over a large enough regular file is differenced in
+    frame ranges on up to ``workers`` processes (see ``_split_values``);
+    the series is the same for any count.
+    """
+    values = None
+    if workers > 1 and isinstance(source, Y4MReader):
+        values = _split_values(source, workers)
+    if values is None:
+        values = _series_values(source)
+    if not len(values):
+        raise TooFewFrames("need at least two frames to form a difference")
+    return FrameDiffSeries(values=values, scene_cut_flags=detect_scene_cuts(values))

@@ -10,7 +10,10 @@ plane only.
 
 from __future__ import annotations
 
+import copy
 import enum
+import os
+import stat
 from dataclasses import dataclass, field
 from typing import BinaryIO, Iterable, Iterator
 
@@ -171,6 +174,26 @@ class VideoSequence:
             and self.frames == other.frames
             and self.chroma == other.chroma
         )
+
+
+class _PreadStream:
+    """Bytes ``offset`` up to ``end`` (or to end of file) of an open file.
+
+    Reads go through ``os.preadv`` and never move the descriptor's own
+    offset, so processes forked from one another can each read their own
+    part of one descriptor.
+    """
+
+    def __init__(self, fd: int, offset: int, end: int | None):
+        self._fd, self._offset, self._end = fd, offset, end
+
+    def readinto(self, buf) -> int:
+        view = memoryview(buf)
+        if self._end is not None:
+            view = view[:max(0, self._end - self._offset)]
+        got = os.preadv(self._fd, [view], self._offset) if len(view) else 0
+        self._offset += got
+        return got
 
 
 def _parse_count(text: str, pos: int, what: str) -> int:
@@ -393,6 +416,50 @@ class Y4MReader:
         count = max(1, max_bytes // self._record)
         while (payload := self._read_records(count)) is not None:
             yield payload[:, :self.header.luma_size]
+
+    def _file_origin(self) -> tuple[int, int] | None:
+        """(descriptor, offset of the next unread byte) of a regular file, else None."""
+        try:
+            fd = self._stream.fileno()
+            if not (stat.S_ISREG(os.fstat(fd).st_mode) and hasattr(os, "preadv")):
+                return None
+            return fd, self._stream.tell() - (self._hi - self._lo)
+        except (AttributeError, OSError, ValueError):
+            return None
+
+    def _unread_records(self) -> int:
+        """Whole records in the unread bytes of a regular file; 0 for other streams."""
+        origin = self._file_origin()
+        if origin is None:
+            return 0
+        fd, offset = origin
+        return max(0, os.fstat(fd).st_size - offset) // self._record
+
+    def _reader_from(self, frame: int, stop: int | None = None) -> "Y4MReader | None":
+        """A reader of the unread records ``frame`` up to ``stop``, or to end of file.
+
+        The records are placed where a run of bare ``FRAME`` markers puts
+        them, so the placement is a prediction that the caller must prove.
+        The new reader reads its own bytes with ``os.preadv`` and reports
+        frame indices and byte offsets as this reader would. None unless
+        the stream is a regular file and the marker at ``frame`` is bare.
+        """
+        origin = self._file_origin()
+        if origin is None:
+            return None
+        fd, offset = origin
+        start = offset + frame * self._record
+        if not self._raw and os.pread(fd, len(_MARKER), start) != _MARKER:
+            return None
+        reader = copy.copy(self)
+        reader._stream = _PreadStream(
+            fd, start, None if stop is None else offset + stop * self._record)
+        reader._buf = np.empty(0, dtype=np.uint8)
+        reader._gathered = np.empty((0, 0), dtype=np.uint8)
+        reader._lo = reader._hi = 0
+        reader._pos = self._pos + frame * self._record
+        reader._index = self._index + frame
+        return reader
 
     def read_frame(self) -> tuple[LumaFrame, bytes] | None:
         """Next (luma, chroma-bytes) pair, or None at a clean end of stream."""

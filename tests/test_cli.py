@@ -226,6 +226,13 @@ class TestRawInput:
         doc = run_json(capsys, ["fd", str(raw), "--size", "4x2", "--json"])
         assert doc["frame_count"] == 4
 
+    def test_size_synth_refuses_stays_valid_for_raw_input(self, tmp_path, capsys):
+        raw = tmp_path / "clip.yuv"
+        raw.write_bytes(bytes(range(12)))  # three 1x4 mono frames
+        doc = run_json(capsys, ["fd", str(raw), "--size", "1x4", "--chroma", "mono",
+                                "--json"])
+        assert doc["frame_count"] == 3
+
     def test_score_raw_matches_y4m(self, clip, tmp_path, capsys):
         with open(clip, "rb") as handle:
             seq = VideoSequence.from_reader(Y4MReader(handle))
@@ -314,6 +321,12 @@ class TestExitCodes:
          "a number from 0 to 1"),
         (["degrade", "CLIP", "--kind", "loss", "--events", "10:4", "--out", "OUT",
           "--capture-noise", "2"], "a number from 0 to 1"),
+        (["synth", "--frames", "5", "--out", "OUT", "--size", "1x4"],
+         "--size: invalid value '1x4', expected WxH, both even and at least 2"),
+        (["synth", "--frames", "5", "--out", "OUT", "--size", "3x4"],
+         "--size: invalid value '3x4', expected WxH, both even and at least 2"),
+        (["synth", "--frames", "5", "--out", "OUT", "--size", "2x3"],
+         "--size: invalid value '2x3', expected WxH, both even and at least 2"),
     ])
     def test_bad_flag_value_names_the_expected_form(self, clip, tmp_path, capsys,
                                                      argv, form):

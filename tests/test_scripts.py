@@ -3,7 +3,8 @@
 The scripts import the public API, so a renamed or removed name breaks
 them here rather than silently. ``project_paper_search.py`` has no size
 flags (it times a fixed 24-structure sample of the paper-default search)
-and is left out.
+and is left out. ``ab_perfbench.py`` runs the benchmark on its tiny
+inputs, with this checkout on both sides.
 """
 
 import importlib.util
@@ -37,3 +38,21 @@ def test_train_synthetic_demo(tmp_path, capsys):
     model = json.loads((tmp_path / "model.json").read_text())
     assert len(model["features"]) == 2 and len(model["hidden"]) == 1
     assert (tmp_path / "ranking.csv").read_text().count("\n") == 1 + 78  # C(13, 2)
+
+
+def test_ab_perfbench(tmp_path, capsys):
+    ab = load_script("ab_perfbench")
+    out = tmp_path / "ab.json"
+    root = str(SCRIPTS.parent)
+    assert ab.main([root, root, "--workload", "score_long_small", "--pairs", "2",
+                    "--seconds", "0.2", "--size", "tiny", "--seed", "5",
+                    "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert "call_ms" in printed and "failed operations: parent 0, change 0" in printed
+    doc = json.loads(out.read_text())
+    assert [p["seed"] for p in doc["pairs"]] == [5, 6]
+    assert [p["first"] for p in doc["pairs"]] == ["parent", "change"]
+    assert set(doc["summary"]) == {"setup_s", "call_ms", "peak_rss_mb"}
+    for metric in doc["summary"].values():
+        assert metric["pairs"] == 2 and 0 <= metric["change_better_pairs"] <= 2
+        assert metric["parent"]["q1"] <= metric["parent"]["median"] <= metric["parent"]["q3"]

@@ -30,7 +30,7 @@ from jerkmeter import (
     save_model,
     train_lm,
 )
-from jerkmeter import training
+from jerkmeter import pool, training
 from jerkmeter.quality_model import forward, sigmoid
 from jerkmeter.training import (
     LMFit,
@@ -669,17 +669,17 @@ class TestWorkers:
             time.sleep(0.002)
             return i, os.getpid()
 
-        got = training._claimed_map(evaluate, 300, 4)
+        got = pool._claimed_map(evaluate, 300, 4)
         assert [i for i, _ in got] == list(range(300))
         assert len({pid for _, pid in got}) > 1
 
     def test_worker_count_is_capped_without_starting_processes(self, cpus):
         cpus(2)
-        assert training._worker_count(10**6, 14) == 2
-        assert training._worker_count(10**6, 1) == 1
-        assert training._worker_count(1, 14) == 1
+        assert pool._worker_count(10**6, 14) == 2
+        assert pool._worker_count(10**6, 1) == 1
+        assert pool._worker_count(1, 14) == 1
         cpus(64)
-        assert training._worker_count(10**6, 14) == 14
+        assert pool._worker_count(10**6, 14) == 14
 
     def test_no_workers_is_a_config_error(self, rng):
         samples = make_samples(rng, 10, lambda f: 0.0)
