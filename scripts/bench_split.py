@@ -20,7 +20,7 @@ checkouts. The clips:
 
 With ``--floor-sweep`` it instead times ``compute_series`` on CHANGE_DIR's
 jerkmeter with every clip split, against serial, on 64x64 and 1280x720
-clips of 16 to 64 MiB: where splitting starts to pay.
+clips of ``SWEEP_MIB`` mebibytes: where splitting starts to pay.
 """
 
 from __future__ import annotations
@@ -99,43 +99,53 @@ def make_clip(work: str, name: str, seed: int) -> str:
     return out + ".y4m"
 
 
+# Clip sizes of the floor sweep, in MiB.
+SWEEP_MIB = (16, 24, 32, 48, 64)
+# The split size floor for each side of the sweep: 0 splits every clip (on
+# the CPUs this process may run on), 2**62 bytes none.
+SWEEP_FLOORS = {"serial": 1 << 62, "split": 0}
+
+
 def floor_sweep(src: str, reps: int) -> dict:
     """``compute_series`` with every file split against serial, by clip size.
 
-    Run in this process on ``src``'s jerkmeter with the size floor set to
-    0. Each repetition times every clip both ways, in alternating order,
-    so that load from elsewhere on the host reaches all sizes alike. The
-    clips are written by ``synth`` processes, so this one stays as small
-    as the CLI.
+    Run in this process on ``src``'s jerkmeter, with the size floor set
+    per side from ``SWEEP_FLOORS`` and put back at the end. Each
+    repetition times every clip both ways, in alternating order, so that
+    load from elsewhere on the host reaches all sizes alike. The clips are
+    written by ``synth`` processes, so this one stays as small as the CLI.
     """
     sys.path.insert(0, src)
     from jerkmeter import Y4MReader, compute_series, frame_analysis
-    from jerkmeter.pool import cpu_count
 
-    frame_analysis._SPLIT_BYTES = 0
+    floor = frame_analysis._SPLIT_BYTES
     with tempfile.TemporaryDirectory(prefix="bench_split_") as work:
         clips = {}
         for width, height in ((64, 64), (1280, 720)):
-            for mib in (16, 24, 32, 48, 64):
-                frames = mib * 2**20 // (width * height * 3 // 2 + 6)
+            for mib in SWEEP_MIB:
+                frames = max(2, mib * 2**20 // (width * height * 3 // 2 + 6))
                 path = os.path.join(work, f"{width}x{height}_{mib}.y4m")
                 subprocess.run([sys.executable, "-m", "jerkmeter.cli", "synth", "--frames",
                                 str(frames), "--size", f"{width}x{height}", "--velocity",
                                 "3", "--out", path], check=True, stdout=subprocess.DEVNULL,
                                env=dict(os.environ, PYTHONPATH=src))
                 clips[f"{width}x{height} {mib} MiB"] = (frames, path)
-        times = {key: {1: [], cpu_count(): []} for key in clips}
-        for i in range(-1, reps):  # the first round warms up, untimed
-            for key, (_, path) in clips.items():
-                for workers in sorted(times[key], reverse=bool(i % 2)):
-                    with open(path, "rb") as handle:
-                        start = time.perf_counter()
-                        compute_series(Y4MReader(handle), workers=workers)
-                        if i >= 0:
-                            times[key][workers].append(1e3 * (time.perf_counter() - start))
+        times = {key: {side: [] for side in SWEEP_FLOORS} for key in clips}
+        try:
+            for i in range(-1, reps):  # the first round warms up, untimed
+                for key, (_, path) in clips.items():
+                    for side in sorted(SWEEP_FLOORS, reverse=bool(i % 2)):
+                        frame_analysis._SPLIT_BYTES = SWEEP_FLOORS[side]
+                        with open(path, "rb") as handle:
+                            start = time.perf_counter()
+                            compute_series(Y4MReader(handle))
+                            if i >= 0:
+                                times[key][side].append(1e3 * (time.perf_counter() - start))
+        finally:
+            frame_analysis._SPLIT_BYTES = floor
     sweep = {}
     for key, (frames, _) in clips.items():
-        serial, split = times[key].values()
+        serial, split = times[key]["serial"], times[key]["split"]
         sweep[key] = {"frames": frames, "serial_ms": statistics.median(serial),
                       "split_ms": statistics.median(split),
                       "split_better": sum(b < a for a, b in zip(serial, split)),
@@ -201,7 +211,8 @@ def compare(srcs: dict[str, str], args) -> dict:
             os.unlink(clip)
             for side, results in runs.items():
                 ms = [r["call_ms"] for r in results]
-                q1, med, q3 = statistics.quantiles(ms, n=4, method="inclusive")
+                q1, med, q3 = (statistics.quantiles(ms, n=4, method="inclusive")
+                               if len(ms) > 1 else ms * 3)
                 entry[side] = {
                     "call_ms": {"median": med, "q1": q1, "q3": q3},
                     "self_rss_mb": max(r["self_rss_mb"] for r in results),

@@ -34,7 +34,6 @@ from .eval_metrics import evaluate
 from .features import FEATURE_NAMES, analyze
 from .frame_analysis import compute_series
 from .freeze_detection import DetectorConfig, FreezeEvent, FreezeTimeline, score_detection
-from .pool import cpu_count
 from .quality_model import default_model, load_model, save_model, score_features
 from .training import (
     LMConfig,
@@ -106,14 +105,6 @@ def _parse_events(text: str) -> list[tuple[int, int]]:
     return events
 
 
-@_expects("a number from 0 to 1")
-def _parse_density(text: str) -> float:
-    density = float(text)
-    if not 0.0 <= density <= 1.0:
-        raise ValueError(text)
-    return density
-
-
 @_expects("comma-separated integers")
 def _parse_int_list(text: str) -> tuple[int, ...]:
     return tuple(int(p) for p in text.split(",") if p.strip())
@@ -122,6 +113,21 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
 _parse_size = _expects("WxH, both at least 1")(_size)
 _parse_count = _expects("an integer of at least 1")(_at_least_1)
 _parse_finite = _expects("a finite number")(_finite_float)
+
+
+def _bounded(form: str, holds):
+    """A flag value parser of finite numbers for which ``holds`` is true."""
+    @_expects(form)
+    def parse(text: str) -> float:
+        value = _finite_float(text)
+        if not holds(value):
+            raise ValueError(text)
+        return value
+    return parse
+
+
+_parse_density = _bounded("a number from 0 to 1", lambda value: 0.0 <= value <= 1.0)
+_parse_positive = _bounded("a positive finite number", lambda value: value > 0.0)
 
 
 @contextlib.contextmanager
@@ -145,7 +151,7 @@ def _detector_config(args) -> DetectorConfig:
 def _analyze_input(args):
     """Analyze the input clip on the CPUs this process may run on."""
     with _open_video(args.input, args) as reader:
-        return analyze(reader, config=_detector_config(args), workers=cpu_count())
+        return analyze(reader, config=_detector_config(args))
 
 
 def _load_model_arg(args):
@@ -237,7 +243,7 @@ def _cmd_degrade(args) -> int:
 
 def _cmd_fd(args) -> int:
     with _open_video(args.input, args) as reader:
-        series = compute_series(reader, workers=cpu_count())
+        series = compute_series(reader)
     doc = {
         "frame_count": series.frame_count,
         "fps": reader.header.fps,
@@ -493,7 +499,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--data", required=True, help="sample CSV")
     p.add_argument("--model", default=None,
                    help="model JSON (bundled default if omitted)")
-    p.add_argument("--range", type=_parse_finite, default=None,
+    p.add_argument("--range", type=_parse_positive, default=None,
                    help="score range for rRMSE (default: observed)")
     p.set_defaults(func=_cmd_eval)
 

@@ -19,7 +19,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import JerkmeterError, ShapeError, TooFewFrames
-from .pool import _claimed_map, _worker_count
+from .pool import _claimed_map, cpu_count
 from .video_io import LumaFrame, Y4MReader
 
 # A transition must exceed this multiple of the recent mean to count as a cut.
@@ -165,68 +165,39 @@ def _series_values(source: Iterable[LumaFrame] | Y4MReader) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def _split_values(source: Y4MReader, workers: int) -> np.ndarray | None:
-    """Differences of ``source``'s remaining frames, range by range on up to
-    ``workers`` processes; None, with ``source`` unread, if the clip does not split.
-
-    It splits when it is a regular file of at least ``_SPLIT_BYTES`` unread
-    bytes and two records per range, and one ``pread`` per range finds a
-    bare ``FRAME`` marker where the range starts if every marker is bare.
-    Range k reads frames ``starts[k]`` to ``starts[k+1]``, one frame of
-    overlap, through a stream that ends where its last record should; the
-    last range reads to the end of the file. A range is clean when it
-    raised nothing and, but for the last, gave one value per frame step:
-    any other marker is longer and leaves the stream short. So a clean
-    range proves where the next one starts. The clean ranges are used in
-    order; from the first other one, this process reads on serially, so
-    an error is the one a serial read raises, frame index and offset alike.
+def _split_values(source: Y4MReader) -> np.ndarray | None:
+    """Differences of ``source``'s remaining frames, one ``Y4MReader._ranges``
+    range per CPU this process may run on; None, with ``source`` unread,
+    unless every range raised nothing and gave the values it must, so that
+    a malformed file is read again serially and raises the serial error.
     """
-    records = source._unread_records()
-    if records * source._record < _SPLIT_BYTES:
-        return None
-    parts = _worker_count(workers, records // 2)
-    if parts < 2:
-        return None
-    starts = [k * records // parts for k in range(parts)]
-    stops = [start + 1 for start in starts[1:]] + [None]
-    readers = [source._reader_from(start, stop) for start, stop in zip(starts, stops)]
-    if any(reader is None for reader in readers):
+    ranges = source._ranges(cpu_count(), _SPLIT_BYTES)
+    if ranges is None:
         return None
 
     def clean_values(k):
+        reader, count = ranges[k]
         try:
-            values = _series_values(readers[k])
-        except Exception:  # the serial read below raises it where it belongs
+            values = _series_values(reader)
+        except Exception:  # the serial read raises it where it belongs
             return None
-        if stops[k] is not None and len(values) != starts[k + 1] - starts[k]:
-            return None
-        return values
+        return values if count in (None, len(values)) else None
 
     try:
-        ranges = _claimed_map(clean_values, parts, parts)
-    except JerkmeterError:  # a child died before reporting: read it all here
-        ranges = [None]
-    values = []
-    for k, part in enumerate(ranges):
-        if part is None:
-            rest = source if k == 0 else source._reader_from(starts[k])
-            values.append(_series_values(rest))
-            break
-        values.append(part)
-    return np.concatenate(values)
+        parts = _claimed_map(clean_values, len(ranges), len(ranges))
+    except JerkmeterError:  # a child died before reporting
+        parts = [None]
+    return None if any(part is None for part in parts) else np.concatenate(parts)
 
 
-def compute_series(source: Iterable[LumaFrame] | Y4MReader,
-                   workers: int = 1) -> FrameDiffSeries:
+def compute_series(source: Iterable[LumaFrame] | Y4MReader) -> FrameDiffSeries:
     """Frame-difference series for a sequence or a streamed frame source.
 
     A ``Y4MReader`` over a large enough regular file is differenced in
-    frame ranges on up to ``workers`` processes (see ``_split_values``);
-    the series is the same for any count.
+    frame ranges on the CPUs this process may run on (see
+    ``_split_values``); the series is the same for any count.
     """
-    values = None
-    if workers > 1 and isinstance(source, Y4MReader):
-        values = _split_values(source, workers)
+    values = _split_values(source) if isinstance(source, Y4MReader) else None
     if values is None:
         values = _series_values(source)
     if not len(values):

@@ -417,49 +417,45 @@ class Y4MReader:
         while (payload := self._read_records(count)) is not None:
             yield payload[:, :self.header.luma_size]
 
-    def _file_origin(self) -> tuple[int, int] | None:
-        """(descriptor, offset of the next unread byte) of a regular file, else None."""
+    def _ranges(self, parts: int,
+                min_bytes: int) -> list[tuple["Y4MReader", int | None]] | None:
+        """Readers of up to ``parts`` contiguous ranges of the unread frames,
+        each with the number of values it must give; None if they do not split.
+
+        They split when the stream is a regular file of at least ``min_bytes``
+        unread bytes and two records per range, and one ``pread`` per range
+        finds a bare ``FRAME`` marker where the range starts. Ranges sit where
+        a run of bare markers puts them, a prediction the caller must prove:
+        each but the last reads through the next one's first frame and must
+        give one value per frame step, which a longer marker inside prevents;
+        the last reads to the end of the file (None). Each reader reads its
+        own bytes with ``os.preadv``; this one is left unread.
+        """
         try:
             fd = self._stream.fileno()
             if not (stat.S_ISREG(os.fstat(fd).st_mode) and hasattr(os, "preadv")):
                 return None
-            return fd, self._stream.tell() - (self._hi - self._lo)
+            offset = self._stream.tell() - (self._hi - self._lo)
+            records = max(0, os.fstat(fd).st_size - offset) // self._record
         except (AttributeError, OSError, ValueError):
             return None
-
-    def _unread_records(self) -> int:
-        """Whole records in the unread bytes of a regular file; 0 for other streams."""
-        origin = self._file_origin()
-        if origin is None:
-            return 0
-        fd, offset = origin
-        return max(0, os.fstat(fd).st_size - offset) // self._record
-
-    def _reader_from(self, frame: int, stop: int | None = None) -> "Y4MReader | None":
-        """A reader of the unread records ``frame`` up to ``stop``, or to end of file.
-
-        The records are placed where a run of bare ``FRAME`` markers puts
-        them, so the placement is a prediction that the caller must prove.
-        The new reader reads its own bytes with ``os.preadv`` and reports
-        frame indices and byte offsets as this reader would. None unless
-        the stream is a regular file and the marker at ``frame`` is bare.
-        """
-        origin = self._file_origin()
-        if origin is None:
+        parts = min(parts, records // 2)
+        if parts < 2 or records * self._record < min_bytes:
             return None
-        fd, offset = origin
-        start = offset + frame * self._record
-        if not self._raw and os.pread(fd, len(_MARKER), start) != _MARKER:
+        firsts = [k * records // parts for k in range(parts)]
+        if not self._raw and any(os.pread(fd, len(_MARKER), offset + first * self._record)
+                                 != _MARKER for first in firsts):
             return None
-        reader = copy.copy(self)
-        reader._stream = _PreadStream(
-            fd, start, None if stop is None else offset + stop * self._record)
-        reader._buf = np.empty(0, dtype=np.uint8)
-        reader._gathered = np.empty((0, 0), dtype=np.uint8)
-        reader._lo = reader._hi = 0
-        reader._pos = self._pos + frame * self._record
-        reader._index = self._index + frame
-        return reader
+        ranges = []
+        for first, last in zip(firsts, firsts[1:] + [None]):
+            reader = copy.copy(self)
+            end = None if last is None else offset + (last + 1) * self._record
+            reader._stream = _PreadStream(fd, offset + first * self._record, end)
+            reader._buf = np.empty(0, dtype=np.uint8)
+            reader._gathered = np.empty((0, 0), dtype=np.uint8)
+            reader._lo = reader._hi = 0
+            ranges.append((reader, None if last is None else last - first))
+        return ranges
 
     def read_frame(self) -> tuple[LumaFrame, bytes] | None:
         """Next (luma, chroma-bytes) pair, or None at a clean end of stream."""

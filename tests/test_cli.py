@@ -327,6 +327,10 @@ class TestExitCodes:
          "--size: invalid value '3x4', expected WxH, both even and at least 2"),
         (["synth", "--frames", "5", "--out", "OUT", "--size", "2x3"],
          "--size: invalid value '2x3', expected WxH, both even and at least 2"),
+        (["eval", "--data", "OUT", "--range", "0"],
+         "--range: invalid value '0', expected a positive finite number"),
+        (["eval", "--data", "OUT", "--range", "-1"],
+         "--range: invalid value '-1', expected a positive finite number"),
     ])
     def test_bad_flag_value_names_the_expected_form(self, clip, tmp_path, capsys,
                                                      argv, form):

@@ -4,7 +4,8 @@ The scripts import the public API, so a renamed or removed name breaks
 them here rather than silently. ``project_paper_search.py`` has no size
 flags (it times a fixed 24-structure sample of the paper-default search)
 and is left out. ``ab_perfbench.py`` runs the benchmark on its tiny
-inputs, with this checkout on both sides.
+inputs and ``bench_split.py`` compares on one tiny clip, with this
+checkout on both sides; its floor sweep runs at 1 MiB.
 """
 
 import importlib.util
@@ -56,3 +57,27 @@ def test_ab_perfbench(tmp_path, capsys):
     for metric in doc["summary"].values():
         assert metric["pairs"] == 2 and 0 <= metric["change_better_pairs"] <= 2
         assert metric["parent"]["q1"] <= metric["parent"]["median"] <= metric["parent"]["q3"]
+
+
+def test_bench_split(tmp_path, capsys, monkeypatch):
+    bench = load_script("bench_split")
+    root = str(SCRIPTS.parent)
+    out = tmp_path / "split.json"
+    assert bench.main([root, root, "--clips", "tiny_long", "--pairs", "1",
+                       "--calls", "1", "--out", str(out)]) == 0
+    entry = json.loads(out.read_text())["clips"]["tiny_long"]
+    assert entry["change_better_pairs"] in (0, 1)
+    assert not entry["parent"]["forked"] and not entry["change"]["forked"]
+
+    from jerkmeter import frame_analysis
+
+    floor = frame_analysis._SPLIT_BYTES
+    monkeypatch.setattr(bench, "SWEEP_MIB", (1,))
+    assert bench.main([root, root, "--floor-sweep", "--pairs", "1",
+                       "--out", str(out)]) == 0
+    assert frame_analysis._SPLIT_BYTES == floor
+    sweep = json.loads(out.read_text())["floor_sweep"]
+    assert sorted(sweep) == ["1280x720 1 MiB", "64x64 1 MiB"]
+    assert all(row["reps"] == 3 and row["serial_ms"] > 0 and row["split_ms"] > 0
+               for row in sweep.values())
+    assert "split better in" in capsys.readouterr().out

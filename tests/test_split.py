@@ -1,9 +1,10 @@
 """Frame ranges differenced on forked processes give the serial result.
 
-``compute_series(reader, workers=N)`` splits a large enough regular file
-into one frame range per process. These tests lower the size floor to 0
-so that small clips split, and compare every outcome with ``workers=1``:
-the same value bits and scene-cut flags, or the same exception type and
+``compute_series(reader)`` splits a large enough regular file into one
+frame range per CPU the process may run on. These tests lower the size
+floor to 0 so that small clips split, set the CPU count through
+``os.sched_getaffinity``, and compare every outcome with one CPU's: the
+same value bits and scene-cut flags, or the same exception type and
 message (which holds the frame index or byte offset).
 """
 
@@ -58,19 +59,26 @@ def clip(rng, count, width=8, height=6, chroma=ChromaFormat.C420):
     return VideoSequence.from_luma(header, random_frames(rng, count, width, height))
 
 
-def outcome(path, workers, header=None):
-    with open(path, "rb") as handle:
+def outcome(path, cpus, header=None):
+    """``compute_series`` of ``path`` in a process that may run on ``cpus`` CPUs."""
+    with pytest.MonkeyPatch.context() as patch, open(path, "rb") as handle:
+        patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                      raising=False)
         try:
-            series = compute_series(Y4MReader(handle, header), workers=workers)
+            series = compute_series(Y4MReader(handle, header))
         except JerkmeterError as exc:
             return type(exc), str(exc)
     return series.values.tobytes(), series.scene_cut_flags.tobytes()
 
 
-def assert_split_equals_serial(path, workers, header=None):
+def assert_split_equals_serial(path, cpus, header=None):
     serial = outcome(path, 1, header)
-    assert outcome(path, workers, header) == serial
+    assert outcome(path, cpus, header) == serial
     return serial
+
+
+def raw_bytes(seq):
+    return b"".join(f.samples.tobytes() + c for f, c in zip(seq.frames, seq.chroma))
 
 
 def with_marker(data: bytes, index: int, marker: bytes) -> bytes:
@@ -86,13 +94,13 @@ def record_size(seq):
 
 
 class TestSplitEqualsSerial:
-    @pytest.mark.parametrize("count,workers", [(4, 2), (5, 2), (17, 2), (9, 3), (40, 3)])
-    def test_bare_y4m(self, rng, tmp_path, split, count, workers):
-        calls = split(workers)
+    @pytest.mark.parametrize("count,cpus", [(4, 2), (5, 2), (17, 2), (9, 3), (40, 3)])
+    def test_bare_y4m(self, rng, tmp_path, split, count, cpus):
+        calls = split(cpus)
         path = tmp_path / "clip.y4m"
         path.write_bytes(y4m_bytes(clip(rng, count)))
-        values, _ = assert_split_equals_serial(path, workers)
-        assert calls == [workers]
+        values, _ = assert_split_equals_serial(path, cpus)
+        assert calls == [cpus]
         assert len(values) == 8 * (count - 1)
 
     # Ranges start at frames 0 and 6. A longer marker at or before frame 6
@@ -109,8 +117,8 @@ class TestSplitEqualsSerial:
 
     # Three ranges start at frames 0, 4 and 8, and frame 5 has a longer
     # marker while the probe still reads FRAME where frame 8 would start
-    # were every marker bare. Range 1 is not clean, so this process resumes
-    # at frame 4, which the clean range 0 proved.
+    # were every marker bare. Range 1 is not clean, so this process reads
+    # the file itself from frame 0.
     # - "crafted": 10 bytes longer, with FRAME written into the payload at
     #   the predicted offset; range 1's last record is cut short.
     # - "record": exactly one record longer, so the predicted offset holds
@@ -130,30 +138,27 @@ class TestSplitEqualsSerial:
         assert data[predicted:predicted + 6] == b"FRAME\n"
         path = tmp_path / "clip.y4m"
         path.write_bytes(bytes(data))
-        resumed = []
+        serial = outcome(path, 1)
+        assert len(serial[0]) == 8 * 11
+        reads = []  # (frame index, file name) of readers this process differences
         real = frame_analysis._series_values
 
         def spy(source):
             if isinstance(source, Y4MReader) and os.getpid() == parent:
-                resumed.append((source._index, source._stream))
+                reads.append((source._index, getattr(source._stream, "name", None)))
             return real(source)
 
         parent = os.getpid()
         monkeypatch.setattr(frame_analysis, "_series_values", spy)
-        serial = outcome(path, 1)
-        assert len(serial[0]) == 8 * 11
-        resumed.clear()
         assert outcome(path, 3) == serial
         assert calls == [3]
-        assert (4, None) in [(index, getattr(stream, "_end", "file"))
-                             for index, stream in resumed]
+        assert (0, str(path)) in reads  # a range's reader has no file name
 
     def test_raw_yuv_with_trailing_bytes(self, rng, tmp_path, split):
         split(2)
         seq = clip(rng, 10)
         path = tmp_path / "clip.yuv"
-        path.write_bytes(b"".join(f.samples.tobytes() + c
-                                  for f, c in zip(seq.frames, seq.chroma)) + bytes(5))
+        path.write_bytes(raw_bytes(seq) + bytes(5))
         error = assert_split_equals_serial(path, 2, seq.header)
         assert error == (TrailingBytes, "5 trailing bytes after the last whole frame")
 
@@ -161,9 +166,27 @@ class TestSplitEqualsSerial:
         calls = split(2)
         seq = clip(rng, 10)
         path = tmp_path / "clip.yuv"
-        path.write_bytes(b"".join(f.samples.tobytes() + c
-                                  for f, c in zip(seq.frames, seq.chroma)))
+        path.write_bytes(raw_bytes(seq))
         assert_split_equals_serial(path, 2, seq.header)
+        assert calls == [2]
+
+    @pytest.mark.parametrize("container,chroma", [("y4m", ChromaFormat.C420),
+                                                  ("yuv", ChromaFormat.C420),
+                                                  ("y4m", ChromaFormat.C444)])
+    def test_clean_ranges_are_used(self, rng, tmp_path, split, container, chroma):
+        # The calling process never reads the file serially: the reader it
+        # was given is left unread, its first frame still next.
+        calls = split(2)
+        seq = clip(rng, 10, chroma=chroma)
+        header = seq.header if container == "yuv" else None
+        path = tmp_path / f"clip.{container}"
+        path.write_bytes(raw_bytes(seq) if header else y4m_bytes(seq))
+        serial = outcome(path, 1, header)
+        with open(path, "rb") as handle:
+            reader = Y4MReader(handle, header)
+            series = compute_series(reader)
+            assert reader.read_frame()[0] == seq.frames[0]
+        assert (series.values.tobytes(), series.scene_cut_flags.tobytes()) == serial
         assert calls == [2]
 
     def test_truncated_last_frame(self, rng, tmp_path, split):
@@ -234,7 +257,7 @@ class TestProcessHygiene:
         path = tmp_path / "clip.y4m"
         path.write_bytes(y4m_bytes(clip(rng, 12)))
         with open(path, "rb") as handle:
-            analyze(Y4MReader(handle), workers=2)
+            analyze(Y4MReader(handle))
         assert calls == [2]
         assert_no_children()
 
@@ -243,7 +266,7 @@ class TestProcessHygiene:
         path = tmp_path / "clip.y4m"
         path.write_bytes(y4m_bytes(clip(rng, 12))[:-7])
         with open(path, "rb") as handle, pytest.raises(JerkmeterError):
-            analyze(Y4MReader(handle), workers=2)
+            analyze(Y4MReader(handle))
         assert calls == [2]
         assert_no_children()
 
@@ -280,16 +303,28 @@ class TestProcessHygiene:
         with os.fdopen(write_end, "wb") as sink:
             sink.write(data)  # well below a pipe's buffer
         with os.fdopen(read_end, "rb") as handle:
-            series = compute_series(Y4MReader(handle), workers=2)
+            series = compute_series(Y4MReader(handle))
         assert series.transition_count == 11
 
     def test_sequence_never_forks(self, rng, no_fork, monkeypatch):
         monkeypatch.setattr(frame_analysis, "_SPLIT_BYTES", 0)
-        assert compute_series(clip(rng, 12), workers=2).transition_count == 11
+        assert compute_series(clip(rng, 12)).transition_count == 11
 
     def test_file_below_the_floor_never_forks(self, rng, tmp_path, no_fork):
         path = tmp_path / "clip.y4m"
         path.write_bytes(y4m_bytes(clip(rng, 300, width=64, height=64)))
         assert path.stat().st_size < frame_analysis._SPLIT_BYTES
         with open(path, "rb") as handle:
-            assert compute_series(Y4MReader(handle), workers=2).transition_count == 299
+            assert compute_series(Y4MReader(handle)).transition_count == 299
+
+    def test_one_cpu_never_forks(self, rng, tmp_path, no_fork, monkeypatch):
+        monkeypatch.setattr(frame_analysis, "_SPLIT_BYTES", 0)
+        path = tmp_path / "clip.y4m"
+        path.write_bytes(y4m_bytes(clip(rng, 12)))
+        with open(path, "rb") as handle:
+            assert Y4MReader(handle)._ranges(2, 0) is not None  # it would split
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        with open(path, "rb") as handle:
+            assert compute_series(Y4MReader(handle)).transition_count == 11
+        with open(path, "rb") as handle:
+            assert analyze(Y4MReader(handle)).series.transition_count == 11
