@@ -10,8 +10,17 @@ sides alike. Each pair also adds an environment variable of 1 to 48
 bytes, the same on both sides, since some timings move with the byte
 size of the environment. For every end-to-end metric of
 ``BENCHMARK.json`` it prints and writes each side's median and
-quartiles, the change in the median, and in how many pairs the change
-side was better. Every run's metrics, seed and order go to ``--out``.
+quartiles, the change in the median, in how many pairs the change
+side was better, and a verdict against the metric's ``bound`` (a share
+of the parent's median):
+
+  worse         the change's median is worse than the parent's by more
+                than the bound;
+  unresolved    the parent's quartile spread is wider than the bound,
+                and not every change run beats every parent run;
+  within bound  anything else.
+
+Every run's metrics, seed and order go to ``--out``.
 """
 
 from __future__ import annotations
@@ -57,10 +66,19 @@ def summarise(pairs: list[dict], metrics: list[dict]) -> dict:
         name = metric["name"]
         sides = {side: [p[side]["metrics"][name]["value"] for p in pairs]
                  for side in SIDES}
-        lower = metric["better"] == "lower"
-        wins = sum((c < p) if lower else (c > p)
+        sign = 1.0 if metric["better"] == "lower" else -1.0
+        wins = sum(sign * c < sign * p
                    for p, c in zip(sides["parent"], sides["change"]))
         q = {side: quartiles(values) for side, values in sides.items()}
+        margin = metric["bound"] * q["parent"][1]
+        beats_all = all(sign * c < sign * p
+                        for p in sides["parent"] for c in sides["change"])
+        if sign * (q["change"][1] - q["parent"][1]) > margin:
+            verdict = "worse"
+        elif q["parent"][2] - q["parent"][0] > margin and not beats_all:
+            verdict = "unresolved"
+        else:
+            verdict = "within bound"
         summary[name] = {
             "unit": metric["unit"],
             "better": metric["better"],
@@ -71,6 +89,8 @@ def summarise(pairs: list[dict], metrics: list[dict]) -> dict:
             "change_pct": 100.0 * (q["change"][1] / q["parent"][1] - 1.0),
             "change_better_pairs": wins,
             "pairs": len(pairs),
+            "bound": metric["bound"],
+            "verdict": verdict,
         }
     return summary
 
@@ -114,7 +134,7 @@ def main(argv=None) -> int:
         print(f"  {name:<12} parent {p['median']:.4g} [{p['q1']:.4g}, {p['q3']:.4g}]"
               f"  change {c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}] {s['unit']}"
               f"  ({s['change_pct']:+.1f} %, change better in "
-              f"{s['change_better_pairs']}/{s['pairs']})")
+              f"{s['change_better_pairs']}/{s['pairs']}): {s['verdict']}")
     print(f"  failed operations: parent {failed['parent']}, change {failed['change']}")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:

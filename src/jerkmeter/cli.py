@@ -24,6 +24,7 @@ import contextlib
 import json
 import math
 import sys
+from dataclasses import asdict
 from typing import Iterator
 
 import numpy as np
@@ -67,16 +68,16 @@ def _expects(form: str):
     return wrap
 
 
-def _at_least_1(text: str) -> int:
+def _at_least(text: str, low: int = 1) -> int:
     value = int(text)
-    if value < 1:
-        raise ValueError(f"{value} is below 1")
+    if value < low:
+        raise ValueError(f"{value} is below {low}")
     return value
 
 
 def _size(text: str) -> tuple[int, int]:
     w, h = text.lower().split("x")
-    return _at_least_1(w), _at_least_1(h)
+    return _at_least(w), _at_least(h)
 
 
 @_expects("WxH, both even and at least 2")
@@ -91,7 +92,7 @@ def _parse_even_size(text: str) -> tuple[int, int]:
 @_expects("N or N:D, both at least 1")
 def _parse_fps(text: str) -> tuple[int, int]:
     num, sep, den = text.partition(":")
-    return _at_least_1(num), _at_least_1(den) if sep else 1
+    return _at_least(num), _at_least(den) if sep else 1
 
 
 @_expects("comma-separated START:DURATION pairs")
@@ -111,7 +112,9 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
 
 
 _parse_size = _expects("WxH, both at least 1")(_size)
-_parse_count = _expects("an integer of at least 1")(_at_least_1)
+_parse_count = _expects("an integer of at least 1")(_at_least)
+_parse_seed = _expects("an integer of at least 0")(lambda text: _at_least(text, 0))
+_parse_int = _expects("an integer")(int)
 _parse_finite = _expects("a finite number")(_finite_float)
 
 
@@ -267,14 +270,7 @@ def _cmd_detect(args) -> int:
     if args.truth:
         with open(args.truth, encoding="utf-8") as handle:
             truth = _timeline_from_doc(handle)
-        report = score_detection(timeline, truth)
-        doc["report"] = {
-            "total_true": report.total_true,
-            "correctly_detected": report.correctly_detected,
-            "detection_rate": report.detection_rate,
-            "false_alarms": report.false_alarms,
-            "false_alarm_rate": report.false_alarm_rate,
-        }
+        doc["report"] = asdict(score_detection(timeline, truth))
 
     def human(d):
         print(f"threshold: {d['threshold']:.6f}")
@@ -294,9 +290,8 @@ def _cmd_detect(args) -> int:
 
 def _cmd_features(args) -> int:
     result = _analyze_input(args)
-    doc = dict(result.features.as_dict())
-    doc["frame_count"] = result.timeline.frame_count
-    doc["fps"] = result.timeline.fps
+    doc = {**asdict(result.features), "frame_count": result.timeline.frame_count,
+           "fps": result.timeline.fps}
 
     def human(d):
         for name in FEATURE_NAMES:
@@ -309,11 +304,9 @@ def _cmd_features(args) -> int:
 def _cmd_score(args) -> int:
     model = _load_model_arg(args)
     result = _analyze_input(args)
-    score = score_features(result.features, model)
     doc = {
-        "dmos_pred": score.dmos_pred,
-        "calibrated": score.calibrated,
-        "features": result.features.as_dict(),
+        **asdict(score_features(result.features, model)),
+        "features": asdict(result.features),
         "events": _timeline_doc(result.timeline)["events"],
     }
 
@@ -344,17 +337,11 @@ def _cmd_train(args) -> int:
     if args.ranking:
         with open(args.ranking, "w", encoding="utf-8") as handle:
             handle.write(result.ranking_csv())
-    best = result.best
     doc = {
         "out": args.out,
         "samples": len(samples),
         "combinations": len(result.ranking),
-        "best": {
-            "features": list(best.features),
-            "hidden_nodes": best.hidden_nodes,
-            "cv_error": best.cv_error,
-            "param_count": best.param_count,
-        },
+        "best": asdict(result.best),
     }
 
     def human(d):
@@ -377,7 +364,7 @@ def _cmd_eval(args) -> int:
         preds.append(score_features(sample.features, model).dmos_pred)
         dmos.append(sample.dmos)
     report = evaluate(preds, dmos, scale_range=args.range)
-    doc = {**report.as_dict(), "calibrated": model.calibrated}
+    doc = {**asdict(report), "calibrated": model.calibrated}
 
     def human(d):
         print(f"n: {d['n']}")
@@ -399,7 +386,7 @@ def _build_parser() -> _Parser:
                         help="machine-readable JSON on stdout")
 
     seeded = _Parser(add_help=False)
-    seeded.add_argument("--seed", type=int, default=0,
+    seeded.add_argument("--seed", type=_parse_seed, default=0,
                         help="seed for every random choice (default 0)")
 
     raw_input = _Parser(add_help=False)
@@ -431,7 +418,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--fps", type=_parse_fps, default="25:1")
     p.add_argument("--noise", type=_parse_density, default=0.0,
                    help="density of +/-1 pixel perturbations per frame")
-    p.add_argument("--velocity", type=int, default=1,
+    p.add_argument("--velocity", type=_parse_int, default=1,
                    help="pixels of motion per frame")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_synth)
@@ -482,13 +469,13 @@ def _build_parser() -> _Parser:
                    default=SearchConfig.subset_sizes)
     p.add_argument("--hidden", type=_parse_int_list,
                    default=SearchConfig.hidden_range)
-    p.add_argument("--folds", type=int, default=SearchConfig.folds)
-    p.add_argument("--cap", type=int, default=SearchConfig.sample_count_cap,
+    p.add_argument("--folds", type=_parse_int, default=SearchConfig.folds)
+    p.add_argument("--cap", type=_parse_int, default=SearchConfig.sample_count_cap,
                    help="strict upper bound on trainable weights")
     p.add_argument("--group-by-source", action="store_true",
                    help="keep samples of one source video in one fold")
-    p.add_argument("--lm-max-iters", type=int, default=LMConfig.max_iters)
-    p.add_argument("--lm-restarts", type=int, default=LMConfig.restarts)
+    p.add_argument("--lm-max-iters", type=_parse_int, default=LMConfig.max_iters)
+    p.add_argument("--lm-restarts", type=_parse_int, default=LMConfig.restarts)
     p.add_argument("--out", required=True, help="model JSON destination")
     p.add_argument("--ranking", default=None,
                    help="write the full structure ranking CSV here")

@@ -20,10 +20,6 @@ class EvalReport:
     rrmse: float
     n: int
 
-    def as_dict(self) -> dict[str, float]:
-        return {"pcc": self.pcc, "srocc": self.srocc, "rrmse": self.rrmse,
-                "n": self.n}
-
 
 def _paired(x, y) -> tuple[np.ndarray, np.ndarray]:
     x = np.asarray(x, dtype=np.float64)

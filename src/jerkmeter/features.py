@@ -54,9 +54,6 @@ class FeatureVector:
             raise KeyError(name)
         return getattr(self, name)
 
-    def as_dict(self) -> dict[str, float]:
-        return {name: getattr(self, name) for name in FEATURE_NAMES}
-
     def as_array(self, names: Iterable[str] = FEATURE_NAMES) -> np.ndarray:
         return np.array([self[name] for name in names], dtype=np.float64)
 

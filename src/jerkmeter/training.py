@@ -420,31 +420,21 @@ def make_folds(n: int, k: int, seed: np.random.SeedSequence,
     return [np.sort(np.array(f, dtype=np.intp)) for f in folds]
 
 
-def _search_folds(samples: Sequence[TrainingSample], config: SearchConfig
-                  ) -> list[np.ndarray]:
-    """The folds of `config`'s search, shared by every structure's CV."""
-    return make_folds(
-        len(samples), config.folds, derived_seed(config.rng_seed, _NS_FOLDS),
-        groups=[s.source_id for s in samples] if config.group_by_source else None,
-    )
-
-
 def cross_validate(samples: Sequence[TrainingSample],
                    selected_features: Sequence[str], m: int,
                    config: SearchConfig,
-                   folds: list[np.ndarray] | None = None,
                    seed: np.random.SeedSequence | None = None) -> float:
-    """Mean held-out MSE over k folds.
+    """Mean held-out MSE over the k folds of `config`.
 
-    Normalization statistics are recomputed from each training portion,
-    never from the held-out fold.
+    The folds depend on the samples and `config` alone, so every structure
+    of a search is validated on the same split. Normalization statistics
+    are recomputed from each training portion, never from the held-out fold.
     """
-    if len(samples) < config.folds:
-        raise ConfigError(
-            f"{len(samples)} samples cannot fill {config.folds} folds")
+    folds = make_folds(
+        len(samples), config.folds, derived_seed(config.rng_seed, _NS_FOLDS),
+        groups=[s.source_id for s in samples] if config.group_by_source else None,
+    )
     x_raw, y = design_matrix(samples, selected_features)
-    if folds is None:
-        folds = _search_folds(samples, config)
     if seed is None:
         seed = derived_seed(config.rng_seed, _NS_COMBO, 0)
     fold_seeds = _children(seed, len(folds))
@@ -528,11 +518,10 @@ def exhaustive_search(samples: Sequence[TrainingSample],
     if not combos:
         raise ConfigError("no (features, hidden nodes) combination passes "
                           "the capacity bound")
-    folds = _search_folds(samples, config)
 
     def evaluate(i):
         subset, m = combos[i]
-        return cross_validate(samples, subset, m, config, folds=folds,
+        return cross_validate(samples, subset, m, config,
                               seed=derived_seed(config.rng_seed, _NS_COMBO, i))
 
     errors = _claimed_map(evaluate, len(combos), workers)

@@ -331,6 +331,26 @@ class TestExitCodes:
          "--range: invalid value '0', expected a positive finite number"),
         (["eval", "--data", "OUT", "--range", "-1"],
          "--range: invalid value '-1', expected a positive finite number"),
+        (["synth", "--frames", "5", "--out", "OUT", "--seed", "-1"],
+         "--seed: invalid value '-1', expected an integer of at least 0"),
+        (["degrade", "CLIP", "--kind", "loss", "--events", "10:4", "--out", "OUT",
+          "--capture-noise", "0.01", "--seed", "-1"],
+         "--seed: invalid value '-1', expected an integer of at least 0"),
+        (["degrade", "CLIP", "--kind", "loss", "--events", "10:4", "--out", "OUT",
+          "--seed", "-1"],
+         "--seed: invalid value '-1', expected an integer of at least 0"),
+        (["train", "--data", "OUT", "--out", "OUT", "--seed", "-1"],
+         "--seed: invalid value '-1', expected an integer of at least 0"),
+        (["synth", "--frames", "5", "--out", "OUT", "--velocity", "abc"],
+         "--velocity: invalid value 'abc', expected an integer"),
+        (["train", "--data", "OUT", "--out", "OUT", "--folds", "abc"],
+         "--folds: invalid value 'abc', expected an integer"),
+        (["train", "--data", "OUT", "--out", "OUT", "--cap", "abc"],
+         "--cap: invalid value 'abc', expected an integer"),
+        (["train", "--data", "OUT", "--out", "OUT", "--lm-max-iters", "abc"],
+         "--lm-max-iters: invalid value 'abc', expected an integer"),
+        (["train", "--data", "OUT", "--out", "OUT", "--lm-restarts", "abc"],
+         "--lm-restarts: invalid value 'abc', expected an integer"),
     ])
     def test_bad_flag_value_names_the_expected_form(self, clip, tmp_path, capsys,
                                                      argv, form):
@@ -444,6 +464,44 @@ class TestTrainEval:
                     "--out", str(tmp_path / "m.json")]) == 1
         assert "row 5: feature columns must be finite numbers" in \
             capsys.readouterr().err
+
+
+class TestRecordKeys:
+    """The keys of each printed record, in order: schema 1 of the JSON output."""
+
+    FEATURES = ["NumFz", "AvgFzDur", "MaxFzDur", "StdFzDur", "AvgFzDist",
+                "MaxFzDist", "StdFzDist", "rLenFz", "rDurDist", "AvgFzFD",
+                "MaxFzFD", "AvgBgFD", "rFD"]
+
+    def test_clip_records(self, clip, tmp_path, capsys):
+        deg = tmp_path / "deg.y4m"
+        truth = tmp_path / "truth.json"
+        assert run(["degrade", str(clip), "--kind", "loss", "--events", "20:5",
+                    "--out", str(deg), "--truth", str(truth)]) == 0
+        doc = run_json(capsys, ["detect", str(deg), "--truth", str(truth), "--json"])
+        assert list(doc["report"]) == ["total_true", "correctly_detected",
+                                       "detection_rate", "false_alarms",
+                                       "false_alarm_rate"]
+        doc = run_json(capsys, ["score", str(deg), "--json"])
+        assert list(doc) == ["schema", "dmos_pred", "calibrated", "features",
+                             "events"]
+        assert list(doc["features"]) == self.FEATURES
+        doc = run_json(capsys, ["features", str(deg), "--json"])
+        assert list(doc) == ["schema", *self.FEATURES, "frame_count", "fps"]
+
+    def test_training_records(self, tmp_path, capsys, rng):
+        csv_path = tmp_path / "samples.csv"
+        write_feature_csv(csv_path, rng)
+        model_path = tmp_path / "model.json"
+        doc = run_json(capsys, [
+            "train", "--data", str(csv_path), "--subset-sizes", "1",
+            "--hidden", "1", "--folds", "3", "--lm-max-iters", "5",
+            "--lm-restarts", "1", "--out", str(model_path), "--json"])
+        assert list(doc["best"]) == ["features", "hidden_nodes", "cv_error",
+                                     "param_count"]
+        doc = run_json(capsys, ["eval", "--data", str(csv_path),
+                                "--model", str(model_path), "--json"])
+        assert list(doc) == ["schema", "pcc", "srocc", "rrmse", "n", "calibrated"]
 
 
 class TestDeterminism:

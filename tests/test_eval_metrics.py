@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -149,5 +150,5 @@ class TestEvaluate:
 
     def test_as_dict(self):
         report = evaluate([1.0, 2.0, 4.0], [1.1, 2.2, 3.9])
-        d = report.as_dict()
+        d = dataclasses.asdict(report)
         assert set(d) == {"pcc", "srocc", "rrmse", "n"}

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 import statistics
@@ -149,7 +150,7 @@ class TestExtract:
         fv = extract(make_series(values), timeline)
         assert fv.NumFz == 1.0
         assert fv.AvgFzFD == 50.0
-        assert set(fv.as_dict()) == set(FEATURE_NAMES)
+        assert set(dataclasses.asdict(fv)) == set(FEATURE_NAMES)
 
     def test_getitem_and_array_order(self):
         values = [5, 0, 0, 50, 5]

@@ -57,6 +57,8 @@ def test_ab_perfbench(tmp_path, capsys):
     for metric in doc["summary"].values():
         assert metric["pairs"] == 2 and 0 <= metric["change_better_pairs"] <= 2
         assert metric["parent"]["q1"] <= metric["parent"]["median"] <= metric["parent"]["q3"]
+        assert metric["verdict"] in ("worse", "unresolved", "within bound")
+        assert f"): {metric['verdict']}" in printed
 
 
 def test_bench_split(tmp_path, capsys, monkeypatch):

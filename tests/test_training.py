@@ -469,8 +469,8 @@ class TestCrossValidate:
         monkeypatch.setattr(training, "_lm_batch", fake_batch)
         cfg = SearchConfig(hidden_range=(1,), subset_sizes=(1,), folds=2,
                            rng_seed=0, lm=FAST_LM)
-        folds = make_folds(4, 2, derived_seed(0, 0))
-        got = cross_validate(samples, ("NumFz",), 1, cfg, folds=folds)
+        folds = make_folds(4, 2, derived_seed(0, 0))  # the config's own split
+        got = cross_validate(samples, ("NumFz",), 1, cfg)
         y = np.array([1.0, 2.0, 3.0, 5.0])
         expected = []
         for val_idx in folds:
@@ -478,6 +478,32 @@ class TestCrossValidate:
             c = y[train_idx].mean()
             expected.append(np.mean((y[val_idx] - c) ** 2))
         assert got == pytest.approx(np.mean(expected), abs=1e-15)
+
+    @pytest.mark.parametrize("grouped", [False, True])
+    def test_grouped_folds_come_from_the_config(self, monkeypatch, grouped):
+        # dmos numbers the samples, so each training portion names its rows.
+        samples = [TrainingSample(features={n: 0.0 for n in FEATURE_NAMES},
+                                  dmos=float(i), source_id=f"src{i % 5}")
+                   for i in range(20)]
+        portions = []
+
+        def fake_batch(xs, ys, m, cfg, seeds):
+            portions.extend({int(v) for v in y} for y in ys)
+            return [[LMFit(hidden=np.zeros((1, x.shape[1] + 1)),
+                           output=np.zeros(2), mse=0.0, history=(0.0,),
+                           iterations=0)
+                     for _ in group] for x, group in zip(xs, seeds)]
+
+        monkeypatch.setattr(training, "_lm_batch", fake_batch)
+        cfg = SearchConfig(hidden_range=(1,), subset_sizes=(1,), folds=4,
+                           group_by_source=grouped, lm=FAST_LM)
+        cross_validate(samples, ("NumFz",), 1, cfg)
+        assert len(portions) == 4
+        split = [src for src in range(5) for rows in portions
+                 if 0 < len(rows & set(range(src, 20, 5))) < 4]
+        # Grouped, no source straddles a training portion and its held-out
+        # fold; the same seed ungrouped does split sources.
+        assert (split == []) == grouped
 
     def test_reused_seed_sequence_gives_the_same_error(self, rng):
         samples = make_samples(rng, 16, lambda f: f["NumFz"])
@@ -614,7 +640,7 @@ class TestWorkers:
     def test_lowest_failing_structure_wins(self, cpus, monkeypatch, rng):
         cpus(2)
 
-        def fake(samples, features, m, config, folds=None, seed=None):
+        def fake(samples, features, m, config, seed=None):
             i = structure_index(seed)
             if i == 3:
                 time.sleep(0.3)  # let structure 5 fail first
@@ -636,7 +662,7 @@ class TestWorkers:
         caller = os.getpid()
         marker = tmp_path / "claimed"
 
-        def fake(samples, features, m, config, folds=None, seed=None):
+        def fake(samples, features, m, config, seed=None):
             if os.getpid() != caller:
                 marker.touch()
                 os._exit(1)
