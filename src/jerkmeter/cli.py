@@ -23,6 +23,7 @@ import argparse
 import contextlib
 import json
 import math
+import os
 import sys
 from dataclasses import asdict
 from typing import Iterator
@@ -198,10 +199,16 @@ def _timeline_from_doc(handle) -> FreezeTimeline:
 
 
 def _emit(args, doc: dict, human) -> None:
-    if args.json:
-        print(json.dumps({"schema": JSON_SCHEMA, **doc}, indent=2))
-    else:
-        human(doc)
+    try:
+        if args.json:
+            print(json.dumps({"schema": JSON_SCHEMA, **doc}, indent=2))
+        else:
+            human(doc)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # A reader that stops early is not a failure. Point stdout at devnull
+        # so the flush at exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 # --- subcommand bodies ----------------------------------------------------
@@ -320,7 +327,6 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    samples = load_samples_csv(args.data, detector_config=_detector_config(args))
     lm = LMConfig(max_iters=args.lm_max_iters, restarts=args.lm_restarts)
     config = SearchConfig(
         hidden_range=args.hidden,
@@ -331,6 +337,7 @@ def _cmd_train(args) -> int:
         lm=lm,
         group_by_source=args.group_by_source,
     )
+    samples = load_samples_csv(args.data, detector_config=_detector_config(args))
     result = exhaustive_search(samples, config, workers=args.threads)
     with open(args.out, "wb") as handle:
         handle.write(save_model(result.model))
@@ -358,12 +365,8 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     model = _load_model_arg(args)
     samples = load_samples_csv(args.data, detector_config=_detector_config(args))
-    preds = []
-    dmos = []
-    for sample in samples:
-        preds.append(score_features(sample.features, model).dmos_pred)
-        dmos.append(sample.dmos)
-    report = evaluate(preds, dmos, scale_range=args.range)
+    preds = [score_features(sample.features, model).dmos_pred for sample in samples]
+    report = evaluate(preds, [sample.dmos for sample in samples], scale_range=args.range)
     doc = {**asdict(report), "calibrated": model.calibrated}
 
     def human(d):
@@ -449,7 +452,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_detect)
 
     p = sub.add_parser("features", parents=[common, raw_input, detector],
-                       help="the 13 features")
+                       help=f"the {len(FEATURE_NAMES)} features")
     p.add_argument("input")
     p.set_defaults(func=_cmd_features)
 

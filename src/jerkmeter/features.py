@@ -10,7 +10,7 @@ paused it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable
 
 import numpy as np
@@ -20,14 +20,6 @@ from .frame_analysis import FrameDiffSeries, compute_series
 from .freeze_detection import DetectorConfig, FreezeTimeline, detect_freezes
 from .video_io import LumaFrame, Y4MReader
 
-# Column order used everywhere a feature matrix or CSV is built.
-FEATURE_NAMES = (
-    "NumFz", "AvgFzDur", "MaxFzDur", "StdFzDur",
-    "AvgFzDist", "MaxFzDist", "StdFzDist",
-    "rLenFz", "rDurDist",
-    "AvgFzFD", "MaxFzFD", "AvgBgFD", "rFD",
-)
-
 # Floor for the background motion level when forming the rFD ratio, so
 # a perfectly static clean section cannot blow the ratio up to infinity.
 RATIO_FLOOR = 1e-6
@@ -35,6 +27,9 @@ RATIO_FLOOR = 1e-6
 
 @dataclass(frozen=True)
 class FeatureVector:
+    """The features, in order: the first nine depend on the timeline alone
+    (``freeze_pattern_features``), the last four on motion too."""
+
     NumFz: float
     AvgFzDur: float
     MaxFzDur: float
@@ -54,8 +49,13 @@ class FeatureVector:
             raise KeyError(name)
         return getattr(self, name)
 
-    def as_array(self, names: Iterable[str] = FEATURE_NAMES) -> np.ndarray:
+    def as_array(self, names: Iterable[str] | None = None) -> np.ndarray:
+        names = FEATURE_NAMES if names is None else names
         return np.array([self[name] for name in names], dtype=np.float64)
+
+
+# The column order of every feature matrix and CSV, and the JSON key order.
+FEATURE_NAMES = tuple(f.name for f in fields(FeatureVector))
 
 
 def freeze_pattern_features(timeline: FreezeTimeline) -> dict[str, float]:

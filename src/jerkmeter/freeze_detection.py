@@ -144,11 +144,8 @@ def score_detection(found: FreezeTimeline, truth: FreezeTimeline) -> DetectionRe
         raise ShapeError(
             f"frame counts differ: found {found.frame_count}, truth {truth.frame_count}"
         )
-    detected = 0
-    for t in truth.events:
-        need = MATCH_OVERLAP * t.duration
-        if any(_overlap(f, t) >= need for f in found.events):
-            detected += 1
+    detected = sum(any(_overlap(f, t) >= MATCH_OVERLAP * t.duration for f in found.events)
+                   for t in truth.events)
     false_alarms = sum(
         1 for f in found.events if all(_overlap(f, t) == 0 for t in truth.events)
     )

@@ -47,7 +47,7 @@ _NS_FINAL = 2
 
 @dataclass(frozen=True)
 class TrainingSample:
-    """One annotated clip; ``features`` may be given as a Mapping of the 13 names."""
+    """One annotated clip; ``features`` may be a Mapping of the feature names."""
 
     features: FeatureVector
     dmos: float
@@ -574,7 +574,7 @@ def load_samples_csv(path: str | os.PathLike,
     """Read annotated samples from CSV.
 
     Each row carries id, source_id, dmos and either a `path` column
-    naming a .y4m clip (features are computed here) or all 13 feature
+    naming a .y4m clip (features are computed here) or all the feature
     columns. Relative clip paths resolve against the CSV's directory. The
     file is UTF-8, with or without a byte-order mark.
     """
@@ -597,8 +597,8 @@ def load_samples_csv(path: str | os.PathLike,
         absent = [c for c in FEATURE_NAMES if c not in header]
         if absent:
             raise ConfigError(
-                "CSV needs either a path column or all 13 feature "
-                f"columns; missing {absent}")
+                "CSV needs either a path column or all "
+                f"{len(FEATURE_NAMES)} feature columns; missing {absent}")
     samples = []
     for row_num, row in enumerate(rows, start=2):
         try:

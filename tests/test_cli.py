@@ -1,12 +1,17 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import jerkmeter
 from jerkmeter import (
     FEATURE_NAMES,
     DetectorConfig,
+    FeatureVector,
     FreezeKind,
     FreezePlan,
     add_capture_noise,
@@ -211,6 +216,71 @@ class TestScore:
         assert "Traceback" not in err
 
 
+class TestHumanOutput:
+    """What each subcommand prints without --json."""
+
+    def test_detect(self, clip, tmp_path, capsys):
+        capsys.readouterr()
+        assert run(["detect", str(clip)]) == 0
+        assert capsys.readouterr().out == "threshold: 20.643750\nno freeze events\n"
+        deg = tmp_path / "deg.y4m"
+        truth = tmp_path / "truth.json"
+        assert run(["degrade", str(clip), "--kind", "loss", "--events", "20:5",
+                    "--out", str(deg)]) == 0
+        truth.write_text(json.dumps({"frame_count": 60, "events": [
+            {"start_frame": 20, "duration": 5}, {"start_frame": 40, "duration": 4}]}))
+        capsys.readouterr()
+        assert run(["detect", str(deg), "--truth", str(truth)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "threshold: 20.643750",
+            "freeze at frame 20, 5 frames",
+            "detection rate: 0.5000  false alarm rate: 0.0000",
+        ]
+
+    def test_features(self, clip, capsys):
+        doc = run_json(capsys, ["features", str(clip), "--json"])
+        assert run(["features", str(clip)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"{name:>10}: {doc[name]:.6f}" for name in FEATURE_NAMES]
+
+    def test_eval_with_the_bundled_model(self, tmp_path, capsys, rng):
+        csv_path = tmp_path / "samples.csv"
+        write_feature_csv(csv_path, rng)
+        doc = run_json(capsys, ["eval", "--data", str(csv_path), "--json"])
+        assert run(["eval", "--data", str(csv_path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == [
+            "n: 20",
+            f"pcc: {doc['pcc']:.4f}  srocc: {doc['srocc']:.4f}  "
+            f"rrmse: {doc['rrmse']:.2f}%",
+        ]
+        assert captured.err == ("note: model normalization is a placeholder; "
+                                "scores are uncalibrated\n")
+
+
+class TestClosedStdout:
+    """A reader that closes the pipe early is not a failure: exit 0, no message."""
+
+    @pytest.mark.parametrize("buffered", [False, True])
+    @pytest.mark.parametrize("argv", [["score", "--json"], ["score"], ["fd"]],
+                             ids=["score-json", "score", "fd"])
+    def test_exit_zero_without_a_message(self, clip, argv, buffered):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(jerkmeter.__file__)))
+        env = {**os.environ, "PYTHONPATH": src}
+        env.pop("PYTHONUNBUFFERED", None)
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "jerkmeter.cli", argv[0], str(clip), *argv[1:]],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+
+
 class TestRawInput:
     def test_size_required(self, tmp_path):
         raw = tmp_path / "clip.yuv"
@@ -351,6 +421,10 @@ class TestExitCodes:
          "--lm-max-iters: invalid value 'abc', expected an integer"),
         (["train", "--data", "OUT", "--out", "OUT", "--lm-restarts", "abc"],
          "--lm-restarts: invalid value 'abc', expected an integer"),
+        (["train", "--data", "OUT", "--out", "OUT", "--hidden", ""],
+         "hidden_range must list counts >= 1"),
+        (["train", "--data", "OUT", "--out", "OUT", "--cap", "0"],
+         "sample_count_cap must be positive"),
     ])
     def test_bad_flag_value_names_the_expected_form(self, clip, tmp_path, capsys,
                                                      argv, form):
@@ -445,6 +519,20 @@ class TestTrainEval:
         assert doc["pcc"] > 0.99
         assert doc["calibrated"] is True
 
+    @pytest.mark.parametrize("flag,message", [
+        ("--folds", "need at least 2 folds"),
+        ("--lm-restarts", "max_iters and restarts must be at least 1"),
+    ])
+    def test_settings_are_checked_before_the_table_is_read(self, tmp_path, capsys,
+                                                          flag, message):
+        csv_path = tmp_path / "samples.csv"
+        csv_path.write_text("id,source_id,dmos,path\ns0,a,1.0,missing.y4m\n")
+        value = {"--folds": "1", "--lm-restarts": "0"}[flag]
+        capsys.readouterr()
+        assert run(["train", "--data", str(csv_path), "--out",
+                    str(tmp_path / "m.json"), flag, value]) == 1
+        assert capsys.readouterr().err == f"jerkmeter: error: {message}\n"
+
     def test_missing_csv_column_is_usage_error(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("id,dmos\nx,1\n")
@@ -488,6 +576,24 @@ class TestRecordKeys:
         assert list(doc["features"]) == self.FEATURES
         doc = run_json(capsys, ["features", str(deg), "--json"])
         assert list(doc) == ["schema", *self.FEATURES, "frame_count", "fps"]
+
+    def test_feature_order_has_one_source(self, clip, tmp_path, capsys, rng):
+        assert list(FEATURE_NAMES) == self.FEATURES
+        vector = FeatureVector(**{name: float(i) for i, name in enumerate(self.FEATURES)})
+        assert vector.as_array().tolist() == list(range(len(self.FEATURES)))
+        # A table whose header lists the features in this order trains a
+        # model whose columns are in the same order.
+        csv_path = tmp_path / "samples.csv"
+        write_feature_csv(csv_path, rng)
+        header = csv_path.read_text().splitlines()[0].split(",")
+        assert header == ["id", "source_id", "dmos", *self.FEATURES]
+        model_path = tmp_path / "model.json"
+        assert run(["train", "--data", str(csv_path), "--subset-sizes", "13",
+                    "--hidden", "1", "--folds", "2", "--lm-max-iters", "2",
+                    "--lm-restarts", "1", "--out", str(model_path)]) == 0
+        assert list(load_model(model_path.read_bytes()).selected_features) == self.FEATURES
+        doc = run_json(capsys, ["features", str(clip), "--json"])
+        assert list(doc)[1:-2] == self.FEATURES
 
     def test_training_records(self, tmp_path, capsys, rng):
         csv_path = tmp_path / "samples.csv"

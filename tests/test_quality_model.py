@@ -249,6 +249,7 @@ class TestSerialization:
         (lambda d: d["norm"].update(mean=[0.0]), "norm"),
         (lambda d: d.update(hidden=[[0.1, "x"]]), "hidden"),
         (lambda d: d.update(meta=[1, 2]), "meta"),
+        (lambda d: d.update(hidden=[]), "hidden"),
     ])
     def test_schema_violations(self, mutate, field):
         doc = json.loads(save_model(default_model()).decode())
@@ -275,6 +276,13 @@ class TestSerialization:
         doc = json.loads(save_model(default_model()).decode())
         doc["norm"]["std"][2] = -1.0
         with pytest.raises(InvalidModel):
+            load_model(json.dumps(doc))
+
+    def test_empty_feature_list_is_invalid_model(self):
+        doc = json.loads(save_model(default_model()).decode())
+        doc.update(features=[], norm={"mean": [], "std": []},
+                   hidden=[[row[-1]] for row in doc["hidden"]])
+        with pytest.raises(InvalidModel, match="no features selected"):
             load_model(json.dumps(doc))
 
     def test_not_json(self):

@@ -2,8 +2,8 @@
 
 The scripts import the public API, so a renamed or removed name breaks
 them here rather than silently. ``project_paper_search.py`` has no size
-flags (it times a fixed 24-structure sample of the paper-default search)
-and is left out. ``ab_perfbench.py`` runs the benchmark on its tiny
+flags (it times a fixed 24-structure sample of the paper-default search),
+so it is only loaded and its inputs checked. ``ab_perfbench.py`` runs the benchmark on its tiny
 inputs and ``bench_split.py`` compares on one tiny clip, with this
 checkout on both sides; its floor sweep runs at 1 MiB.
 """
@@ -39,6 +39,12 @@ def test_train_synthetic_demo(tmp_path, capsys):
     model = json.loads((tmp_path / "model.json").read_text())
     assert len(model["features"]) == 2 and len(model["hidden"]) == 1
     assert (tmp_path / "ranking.csv").read_text().count("\n") == 1 + 78  # C(13, 2)
+
+
+def test_project_paper_search_loads():
+    search = load_script("project_paper_search")
+    assert len(search.enumerate_combinations(search.SearchConfig())) == 21736
+    assert len(search.planted_table(80, 0)) == 80
 
 
 def test_ab_perfbench(tmp_path, capsys):
