@@ -198,17 +198,19 @@ def _timeline_from_doc(handle) -> FreezeTimeline:
         raise ConfigError(f"malformed truth file: {exc}")
 
 
-def _emit(args, doc: dict, human) -> None:
+def _flushed(write=lambda: None) -> None:
+    """``write()``, then flush stdout; a reader that stops early is not a failure."""
     try:
-        if args.json:
-            print(json.dumps({"schema": JSON_SCHEMA, **doc}, indent=2))
-        else:
-            human(doc)
+        write()
         sys.stdout.flush()
     except BrokenPipeError:
-        # A reader that stops early is not a failure. Point stdout at devnull
-        # so the flush at exit cannot raise again.
+        # Point stdout at devnull so the flush at exit cannot raise again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
+def _emit(args, doc: dict, human) -> None:
+    _flushed(lambda: print(json.dumps({"schema": JSON_SCHEMA, **doc}, indent=2))
+             if args.json else human(doc))
 
 
 # --- subcommand bodies ----------------------------------------------------
@@ -501,7 +503,8 @@ def run(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except SystemExit as exc:
+    except SystemExit as exc:  # argparse's --help, usage errors
+        _flushed()
         code = exc.code
         return code if isinstance(code, int) else 1
     except ConfigError as exc:

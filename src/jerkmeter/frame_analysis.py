@@ -13,6 +13,7 @@ arithmetic would: results are bit-exact and platform independent.
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from .errors import JerkmeterError, ShapeError, TooFewFrames
 from .pool import _claimed_map, cpu_count
-from .video_io import LumaFrame, Y4MReader
+from .video_io import _MARKER_BYTES, LumaFrame, Y4MReader
 
 # A transition must exceed this multiple of the recent mean to count as a cut.
 SCENE_CUT_FACTOR = 5.0
@@ -31,7 +32,8 @@ _BLOCK_BYTES = 1 << 18
 # compute_series splits a clip into frame ranges on several processes only
 # from this many unread bytes on. On 2 CPUs two ranges broke even between
 # 16 and 24 MiB at 64x64 and at 1280x720, and won at 32 MiB
-# (floor_sweep in BENCH_split.json).
+# (floor_sweep in BENCH_split.json); mapped ranges won from 16 MiB on a
+# quiet host and lost up to 64 MiB on a loaded one (floor_sweep_mapped).
 _SPLIT_BYTES = 1 << 25
 # Most squared uint8 differences a uint32 sum holds: 255**2 * 66051 < 2**32.
 _SUM32_PIXELS = 66051
@@ -166,28 +168,50 @@ def _series_values(source: Iterable[LumaFrame] | Y4MReader) -> np.ndarray:
 
 
 def _split_values(source: Y4MReader) -> np.ndarray | None:
-    """Differences of ``source``'s remaining frames, one ``Y4MReader._ranges``
-    range per CPU this process may run on; None, with ``source`` unread,
-    unless every range raised nothing and gave the values it must, so that
-    a malformed file is read again serially and raises the serial error.
-    """
-    ranges = source._ranges(cpu_count(), _SPLIT_BYTES)
-    if ranges is None:
-        return None
+    """Differences of ``source``'s remaining frames, one contiguous slice of
+    ``Y4MReader._mapped`` per CPU this process may run on; None, with
+    ``source`` unread, if the file does not map or a marker is not a bare
+    ``FRAME``, so that a malformed file is read again serially and raises
+    the serial error.
 
-    def clean_values(k):
-        reader, count = ranges[k]
-        try:
-            values = _series_values(reader)
-        except Exception:  # the serial read raises it where it belongs
-            return None
-        return values if count in (None, len(values)) else None
+    Each slice shares its last frame with the next one's first, and is
+    differenced in blocks that overlap the same way, so no row is copied.
+    A block's markers are checked before it is read, and the whole pages
+    behind it are released after, so a process holds about one block of
+    the mapping however long its slice.
+    """
+    cpus = cpu_count()
+    mapped = source._mapped(_SPLIT_BYTES) if cpus > 1 else None
+    if mapped is None:
+        return None
+    records, offset = mapped
+    frames, record = records.shape
+    marker, luma = source._marker_size, source.header.luma_size
+    parts = min(cpus, frames // 2)
+    bounds = [k * frames // parts for k in range(parts)] + [frames - 1]
+    step, page = max(1, _BLOCK_BYTES // record), mmap.PAGESIZE
+
+    def slice_values(k):
+        first, last = bounds[k], bounds[k + 1]
+        released = (offset + first * record) // page * page
+        diffs = []
+        for start in range(first, last, step):
+            block = records[start:min(start + step, last) + 1]
+            if marker and not (block[:, :marker] == _MARKER_BYTES).all():
+                return None
+            rows = block[:, marker:marker + luma]
+            diffs.append(_fd_pairs(rows[:-1], rows[1:]))
+            behind = (offset + (start + len(rows) - 1) * record) // page * page
+            if behind > released:
+                records.base.madvise(mmap.MADV_DONTNEED, released, behind - released)
+                released = behind
+        return np.concatenate(diffs)
 
     try:
-        parts = _claimed_map(clean_values, len(ranges), len(ranges))
+        values = _claimed_map(slice_values, parts, parts)
     except JerkmeterError:  # a child died before reporting
-        parts = [None]
-    return None if any(part is None for part in parts) else np.concatenate(parts)
+        return None
+    return None if any(v is None for v in values) else np.concatenate(values)
 
 
 def compute_series(source: Iterable[LumaFrame] | Y4MReader) -> FrameDiffSeries:

@@ -10,8 +10,8 @@ plane only.
 
 from __future__ import annotations
 
-import copy
 import enum
+import mmap
 import os
 import stat
 from dataclasses import dataclass, field
@@ -174,26 +174,6 @@ class VideoSequence:
             and self.frames == other.frames
             and self.chroma == other.chroma
         )
-
-
-class _PreadStream:
-    """Bytes ``offset`` up to ``end`` (or to end of file) of an open file.
-
-    Reads go through ``os.preadv`` and never move the descriptor's own
-    offset, so processes forked from one another can each read their own
-    part of one descriptor.
-    """
-
-    def __init__(self, fd: int, offset: int, end: int | None):
-        self._fd, self._offset, self._end = fd, offset, end
-
-    def readinto(self, buf) -> int:
-        view = memoryview(buf)
-        if self._end is not None:
-            view = view[:max(0, self._end - self._offset)]
-        got = os.preadv(self._fd, [view], self._offset) if len(view) else 0
-        self._offset += got
-        return got
 
 
 def _parse_count(text: str, pos: int, what: str) -> int:
@@ -417,45 +397,30 @@ class Y4MReader:
         while (payload := self._read_records(count)) is not None:
             yield payload[:, :self.header.luma_size]
 
-    def _ranges(self, parts: int,
-                min_bytes: int) -> list[tuple["Y4MReader", int | None]] | None:
-        """Readers of up to ``parts`` contiguous ranges of the unread frames,
-        each with the number of values it must give; None if they do not split.
+    def _mapped(self, min_bytes: int) -> tuple[np.ndarray, int] | None:
+        """The unread records as a (frames, record) view of a read-only
+        mapping of the file, with the file offset of frame 0; None, this
+        reader unread either way, if they do not map.
 
-        They split when the stream is a regular file of at least ``min_bytes``
-        unread bytes and two records per range, and one ``pread`` per range
-        finds a bare ``FRAME`` marker where the range starts. Ranges sit where
-        a run of bare markers puts them, a prediction the caller must prove:
-        each but the last reads through the next one's first frame and must
-        give one value per frame step, which a longer marker inside prevents;
-        the last reads to the end of the file (None). Each reader reads its
-        own bytes with ``os.preadv``; this one is left unread.
+        They map when the stream is a regular file whose unread bytes are a
+        whole number of at least 4 records and at least ``min_bytes``, and
+        the platform can release mapped pages (``mmap.MADV_DONTNEED``). The
+        view's ``base`` is the mapping. A longer marker anywhere changes the
+        file's size, so the caller must check only that each marker it
+        passes is a bare ``FRAME``.
         """
         try:
             fd = self._stream.fileno()
-            if not (stat.S_ISREG(os.fstat(fd).st_mode) and hasattr(os, "preadv")):
-                return None
+            info = os.fstat(fd)
             offset = self._stream.tell() - (self._hi - self._lo)
-            records = max(0, os.fstat(fd).st_size - offset) // self._record
+            frames, tail = divmod(info.st_size - offset, self._record)
+            if (not stat.S_ISREG(info.st_mode) or not hasattr(mmap, "MADV_DONTNEED")
+                    or tail or frames < 4 or info.st_size - offset < min_bytes):
+                return None
+            mapping = mmap.mmap(fd, 0, access=mmap.ACCESS_READ)
         except (AttributeError, OSError, ValueError):
             return None
-        parts = min(parts, records // 2)
-        if parts < 2 or records * self._record < min_bytes:
-            return None
-        firsts = [k * records // parts for k in range(parts)]
-        if not self._raw and any(os.pread(fd, len(_MARKER), offset + first * self._record)
-                                 != _MARKER for first in firsts):
-            return None
-        ranges = []
-        for first, last in zip(firsts, firsts[1:] + [None]):
-            reader = copy.copy(self)
-            end = None if last is None else offset + (last + 1) * self._record
-            reader._stream = _PreadStream(fd, offset + first * self._record, end)
-            reader._buf = np.empty(0, dtype=np.uint8)
-            reader._gathered = np.empty((0, 0), dtype=np.uint8)
-            reader._lo = reader._hi = 0
-            ranges.append((reader, None if last is None else last - first))
-        return ranges
+        return np.ndarray((frames, self._record), np.uint8, mapping, offset), offset
 
     def read_frame(self) -> tuple[LumaFrame, bytes] | None:
         """Next (luma, chroma-bytes) pair, or None at a clean end of stream."""

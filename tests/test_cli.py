@@ -262,9 +262,12 @@ class TestClosedStdout:
     """A reader that closes the pipe early is not a failure: exit 0, no message."""
 
     @pytest.mark.parametrize("buffered", [False, True])
-    @pytest.mark.parametrize("argv", [["score", "--json"], ["score"], ["fd"]],
-                             ids=["score-json", "score", "fd"])
+    @pytest.mark.parametrize("argv", [["score", "CLIP", "--json"], ["score", "CLIP"],
+                                      ["fd", "CLIP"], ["--help"], ["score", "--help"]],
+                             ids=["score-json", "score", "fd", "help", "score-help"])
     def test_exit_zero_without_a_message(self, clip, argv, buffered):
+        # argparse prints --help and exits before any command writes; with
+        # stdout block-buffered the broken pipe shows only on the flush.
         read_end, write_end = os.pipe()
         os.close(read_end)
         src = os.path.dirname(os.path.dirname(os.path.abspath(jerkmeter.__file__)))
@@ -274,7 +277,8 @@ class TestClosedStdout:
             env["PYTHONUNBUFFERED"] = "1"
         try:
             proc = subprocess.run(
-                [sys.executable, "-m", "jerkmeter.cli", argv[0], str(clip), *argv[1:]],
+                [sys.executable, "-m", "jerkmeter.cli",
+                 *(str(clip) if arg == "CLIP" else arg for arg in argv)],
                 stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
         finally:
             os.close(write_end)
