@@ -205,7 +205,9 @@ def _flushed(write=lambda: None) -> None:
         sys.stdout.flush()
     except BrokenPipeError:
         # Point stdout at devnull so the flush at exit cannot raise again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _emit(args, doc: dict, human) -> None:
@@ -515,9 +517,5 @@ def run(argv=None) -> int:
         return 2
 
 
-def main(argv=None) -> int:
-    return run(argv)
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -55,8 +55,15 @@ class PlanError(JerkmeterError):
     """A degradation plan does not fit the target sequence."""
 
 
-class ModelFormatError(JerkmeterError):
-    """Model file violates the expected schema."""
+class InvalidModel(JerkmeterError):
+    """A model breaks a rule of its structure or values.
+
+    ``QualityModel`` raises it as ``ModelFormatError``, which names the key.
+    """
+
+
+class ModelFormatError(InvalidModel):
+    """A model breaks a rule; ``field`` is the JSON key of the model file at fault."""
 
     def __init__(self, field: str, reason: str = ""):
         msg = f"bad model field '{field}'"
@@ -68,10 +75,6 @@ class ModelFormatError(JerkmeterError):
 
     def __reduce__(self):
         return type(self), (self.field, self.reason)
-
-
-class InvalidModel(JerkmeterError):
-    """Model values violate an invariant (e.g. non-positive std)."""
 
 
 class ConfigError(JerkmeterError):

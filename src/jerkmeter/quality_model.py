@@ -15,13 +15,12 @@ subjective scale until the statistics are refitted on annotated data.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from importlib import resources
 
 import numpy as np
 
-from .errors import InvalidModel, ModelFormatError, ShapeError
+from .errors import ModelFormatError, ShapeError
 from .features import FEATURE_NAMES, FeatureVector
 
 MODEL_SCHEMA = 1
@@ -68,33 +67,41 @@ class QualityModel:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        unknown = [f for f in self.selected_features if f not in FEATURE_NAMES]
-        if unknown:
-            raise InvalidModel(f"unknown feature names: {unknown}")
-        if len(set(self.selected_features)) != len(self.selected_features):
-            raise InvalidModel("duplicate feature names")
-        n = len(self.selected_features)
+        names = self.selected_features
+        if any(f not in FEATURE_NAMES for f in names):
+            raise ModelFormatError("features", "unknown feature name")
+        if len(set(names)) != len(names):
+            raise ModelFormatError("features", "duplicate feature names")
+        n = len(names)
         if n == 0:
-            raise InvalidModel("no features selected")
-        for name in ("norm_mean", "norm_std", "hidden", "output"):
-            object.__setattr__(self, name,
-                               np.asarray(getattr(self, name), dtype=np.float64))
-        if self.norm_mean.shape != (n,) or self.norm_std.shape != (n,):
-            raise InvalidModel(f"normalization arrays must have shape ({n},)")
+            raise ModelFormatError("features", "no features selected")
+        self._floats("norm_mean", "norm", f"expected {n} means and stds", (n,))
+        self._floats("norm_std", "norm", f"expected {n} means and stds", (n,))
         if np.any(self.norm_std <= 0.0):
-            raise InvalidModel("norm_std entries must be positive")
+            raise ModelFormatError("norm", "norm_std entries must be positive")
+        row_shape = f"each row needs {n} weights plus a bias"
+        self._floats("hidden", "hidden", row_shape)
+        if self.hidden.shape[:1] == (0,):
+            raise ModelFormatError("hidden", "no hidden nodes")
         if self.hidden.ndim != 2 or self.hidden.shape[1] != n + 1:
-            raise InvalidModel(f"hidden rows must hold {n} weights plus a bias")
-        m = self.hidden.shape[0]
-        if m == 0:
-            raise InvalidModel("need at least one hidden node")
-        if self.output.shape != (m + 1,):
-            raise InvalidModel(f"output must hold {m} weights plus a bias")
-        for name in ("norm_mean", "norm_std", "hidden", "output"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise InvalidModel(f"{name} contains non-finite values")
-        for arr in (self.norm_mean, self.norm_std, self.hidden, self.output):
-            arr.setflags(write=False)
+            raise ModelFormatError("hidden", row_shape)
+        m = len(self.hidden)
+        self._floats("output", "output", f"expected {m} weights plus a bias", (m + 1,))
+
+    def _floats(self, name: str, key: str, wrong_shape: str, shape=None) -> None:
+        """Store field ``name`` as a read-only float64 copy; a fault names ``key``."""
+        try:
+            arr = np.array(getattr(self, name), dtype=np.float64)
+        except OverflowError:  # an integer beyond the float range
+            raise ModelFormatError(key, "number too large for a float") from None
+        except ValueError:  # ragged rows, or an item that is not a number
+            raise ModelFormatError(key, wrong_shape) from None
+        if not np.all(np.isfinite(arr)):
+            raise ModelFormatError(key, "numbers must be finite")
+        if shape is not None and arr.shape != shape:
+            raise ModelFormatError(key, wrong_shape)
+        arr.setflags(write=False)
+        object.__setattr__(self, name, arr)
 
     @property
     def n_features(self) -> int:
@@ -158,62 +165,37 @@ def _require(doc: dict, key: str, kind: type) -> object:
     return value
 
 
-def _float_list(doc: dict, key: str, values: object) -> list[float]:
+def _numbers(key: str, values: object) -> list:
+    # A JSON true or false is no number, though numpy would read it as one.
     if not isinstance(values, list) or not all(
         isinstance(v, (int, float)) and not isinstance(v, bool) for v in values
     ):
         raise ModelFormatError(key, "expected a list of numbers")
-    try:
-        floats = [float(v) for v in values]
-    except OverflowError:  # an integer beyond the float range
-        raise ModelFormatError(key, "number too large for a float") from None
-    if not all(math.isfinite(v) for v in floats):
-        raise ModelFormatError(key, "numbers must be finite")
-    return floats
+    return values
 
 
 def load_model(data: bytes | str) -> QualityModel:
+    """Read a model file; the JSON types are checked here, the values by QualityModel."""
     try:
         doc = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
     except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or too deep
         raise ModelFormatError("document", f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ModelFormatError("document", "top level must be an object")
-    if doc.get("schema") != MODEL_SCHEMA:
+    if type(doc.get("schema")) is not int or doc["schema"] != MODEL_SCHEMA:  # not true or 1.0
         raise ModelFormatError("schema", f"expected {MODEL_SCHEMA}")
     features = _require(doc, "features", list)
     if not all(isinstance(f, str) for f in features):
         raise ModelFormatError("features", "expected a list of names")
-    if not set(features) <= set(FEATURE_NAMES):
-        raise ModelFormatError("features", "unknown feature name")
-    n = len(features)
     norm = _require(doc, "norm", dict)
-    mean = _float_list(doc, "norm", norm.get("mean"))
-    std = _float_list(doc, "norm", norm.get("std"))
-    if len(mean) != n or len(std) != n:
-        raise ModelFormatError("norm", f"expected {n} means and stds")
-    hidden_rows = _require(doc, "hidden", list)
-    hidden = [_float_list(doc, "hidden", row) for row in hidden_rows]
-    if not hidden:
-        raise ModelFormatError("hidden", "no hidden nodes")
-    if any(len(row) != n + 1 for row in hidden):
-        raise ModelFormatError("hidden", f"each row needs {n} weights plus a bias")
-    output = _float_list(doc, "output", _require(doc, "output", list))
-    if len(output) != len(hidden) + 1:
-        raise ModelFormatError(
-            "output", f"expected {len(hidden)} weights plus a bias"
-        )
+    mean = _numbers("norm", norm.get("mean"))
+    std = _numbers("norm", norm.get("std"))
+    hidden = [_numbers("hidden", row) for row in _require(doc, "hidden", list)]
+    output = _numbers("output", _require(doc, "output", list))
     meta = doc.get("meta", {})
     if not isinstance(meta, dict):
         raise ModelFormatError("meta", "expected an object")
-    return QualityModel(
-        selected_features=tuple(features),
-        norm_mean=np.array(mean),
-        norm_std=np.array(std),
-        hidden=np.array(hidden),
-        output=np.array(output),
-        meta=meta,
-    )
+    return QualityModel(tuple(features), mean, std, hidden, output, meta)
 
 
 def default_model() -> QualityModel:

@@ -248,23 +248,23 @@ class Y4MReader:
         self._lo += n
         self._pos += n
 
-    def _read_line(self) -> bytes | None:
-        """The next line without its newline, or None at end of stream."""
+    def _read_line(self, name: str) -> bytes | None:
+        """The next line without its newline, or None at end of stream; errors say ``name``."""
         start = self._pos
         available = min(self._fill(_MAX_HEADER_LINE), _MAX_HEADER_LINE)
         text = self._buf[self._lo:self._lo + available].tobytes()
         end = text.find(b"\n")
         if end < 0:
             if available == _MAX_HEADER_LINE:
-                raise ParseError(start, "header line too long")
+                raise ParseError(start, f"{name} too long")
             if available:
-                raise ParseError(start + available, "unterminated header line")
+                raise ParseError(start + available, f"unterminated {name}")
             return None
         self._consume(end + 1)
         return text[:end]
 
     def _parse_header(self) -> VideoHeader:
-        line = self._read_line()
+        line = self._read_line("header line")
         if line is None or not line.startswith(Y4M_SIGNATURE):
             raise ParseError(0, "missing YUV4MPEG2 signature")
         rest = line[len(Y4M_SIGNATURE):]
@@ -337,7 +337,7 @@ class Y4MReader:
         """
         if not self._raw:
             start = self._pos
-            marker = self._read_line()
+            marker = self._read_line("frame marker")
             if marker is None:
                 return None
             if marker.split(b" ", 1)[0] != b"FRAME":

@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 import os
 import subprocess
@@ -284,6 +285,28 @@ class TestClosedStdout:
             os.close(write_end)
         assert (proc.returncode, proc.stderr) == (0, b"")
 
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_no_descriptor_left_open(self):
+        # _flushed points stdout at devnull through a fresh descriptor; only
+        # the duplicate on fd 1 may stay open.
+        script = ("import os, sys\n"
+                  "from jerkmeter import cli\n"
+                  "before = len(os.listdir('/proc/self/fd'))\n"
+                  "cli._flushed(lambda: print('x'))\n"
+                  "print(before, len(os.listdir('/proc/self/fd')), file=sys.stderr)\n")
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(jerkmeter.__file__)))
+        try:
+            proc = subprocess.run([sys.executable, "-c", script], stdout=write_end,
+                                  stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src},
+                                  timeout=120)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 0, proc.stderr
+        before, after = map(int, proc.stderr.split())
+        assert after == before
+
 
 class TestRawInput:
     def test_size_required(self, tmp_path):
@@ -327,6 +350,16 @@ class TestRawInput:
 class TestExitCodes:
     def test_unknown_flag(self):
         assert run(["fd", "--bogus"]) == 1
+
+    def test_console_script_runs(self, capsys):
+        # The installed `jerkmeter` command is whatever pyproject.toml names.
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+        path = os.path.join(os.path.dirname(os.path.dirname(__file__)), "pyproject.toml")
+        with open(path, "rb") as handle:
+            target = tomllib.load(handle)["project"]["scripts"]["jerkmeter"]
+        module, attr = target.split(":")
+        assert getattr(importlib.import_module(module), attr)(["--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: jerkmeter")
 
     def test_unknown_command(self):
         assert run(["frobnicate"]) == 1

@@ -184,30 +184,52 @@ class TestModelValidation:
         assert model.param_count == 3 * (2 + 1) + 3 + 1
 
     def test_unknown_feature(self):
-        with pytest.raises(InvalidModel):
+        with pytest.raises(InvalidModel) as exc:
             QualityModel(("Bogus",), np.zeros(1), np.ones(1),
                          np.zeros((1, 2)), np.zeros(2))
+        assert exc.value.field == "features"
 
     def test_duplicate_feature(self):
-        with pytest.raises(InvalidModel):
+        with pytest.raises(InvalidModel) as exc:
             QualityModel(("NumFz", "NumFz"), np.zeros(2), np.ones(2),
                          np.zeros((1, 3)), np.zeros(2))
+        assert exc.value.field == "features"
 
     def test_nonpositive_std(self):
-        with pytest.raises(InvalidModel):
+        with pytest.raises(InvalidModel) as exc:
             small_model(std=[1.0, 0.0])
+        assert exc.value.field == "norm"
 
     def test_wrong_hidden_arity(self):
-        with pytest.raises(InvalidModel):
+        with pytest.raises(InvalidModel) as exc:
             small_model(hidden=np.zeros((1, 5)))
+        assert exc.value.field == "hidden"
 
     def test_wrong_output_arity(self):
-        with pytest.raises(InvalidModel):
+        with pytest.raises(InvalidModel) as exc:
             small_model(m=1, output=np.zeros(5))
+        assert exc.value.field == "output"
 
     def test_non_finite(self):
-        with pytest.raises(InvalidModel):
+        with pytest.raises(InvalidModel) as exc:
             small_model(hidden=[[np.nan, 0.0, 0.0]])
+        assert exc.value.field == "hidden"
+
+    def test_ragged_hidden(self):
+        with pytest.raises(InvalidModel) as exc:
+            QualityModel(("NumFz",), [0.0], [1.0], [[0.0, 0.0], [0.0]], [0.0, 0.0, 0.0])
+        assert (exc.value.field, exc.value.reason) == (
+            "hidden", "each row needs 1 weights plus a bias")
+
+    def test_integer_beyond_the_float_range(self):
+        with pytest.raises(InvalidModel) as exc:
+            QualityModel(("NumFz",), [10**400], [1.0], [[0.0, 0.0]], [0.0, 0.0])
+        assert (exc.value.field, exc.value.reason) == (
+            "norm", "number too large for a float")
+
+    def test_format_error_is_an_invalid_model(self):
+        # One rule book: a file's faults and a constructor's are caught alike.
+        assert issubclass(ModelFormatError, InvalidModel)
 
     def test_arrays_frozen(self):
         model = small_model()
@@ -250,6 +272,11 @@ class TestSerialization:
         (lambda d: d.update(hidden=[[0.1, "x"]]), "hidden"),
         (lambda d: d.update(meta=[1, 2]), "meta"),
         (lambda d: d.update(hidden=[]), "hidden"),
+        pytest.param(lambda d: d.update(schema=True), "schema", id="schema-true"),
+        pytest.param(lambda d: d.update(schema=1.0), "schema", id="schema-float"),
+        pytest.param(lambda d: d.update(schema="1"), "schema", id="schema-string"),
+        pytest.param(lambda d: d["hidden"].__setitem__(1, [0.1]), "hidden",
+                     id="hidden-ragged"),
     ])
     def test_schema_violations(self, mutate, field):
         doc = json.loads(save_model(default_model()).decode())

@@ -33,6 +33,7 @@ DEEP = "[" * 200000 + "]" * 200000
 HUGE_FIELD = "x" * 131073  # one more character than csv's field limit
 
 VALID_MODEL = save_model(default_model()).decode("utf-8")
+RAGGED_MODEL = json.dumps({**json.loads(VALID_MODEL), "hidden": [[0.5] * 7, [0.5]]})
 VALID_TRUTH = json.dumps({"schema": 1, "frame_count": 60, "fps": 25.0, "events": [
     {"start_frame": 10, "duration": 4}, {"start_frame": 30, "duration": 6}]})
 VALID_CSV = "id,source_id,dmos," + ",".join(FEATURE_NAMES) + "\n" + "".join(
@@ -87,6 +88,8 @@ class TestFuzz:
     @example(data=b"\xff")
     @example(data=DEEP)
     @example(data="1" * 5000)
+    @example(data=VALID_MODEL.replace('"schema": 1', '"schema": true'))
+    @example(data=RAGGED_MODEL)
     def test_model_json(self, data):
         try:
             load_model(data)
@@ -201,3 +204,12 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("jerkmeter: error: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("schema", ["true", "1.0"])
+    def test_model_schema_is_the_json_integer_1(self, clip, tmp_path, capsys, schema):
+        path = tmp_path / "model.json"
+        path.write_text(VALID_MODEL.replace('"schema": 1', f'"schema": {schema}'))
+        capsys.readouterr()
+        assert run(["score", str(clip), "--model", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == "jerkmeter: error: bad model field 'schema': expected 1\n"

@@ -138,9 +138,9 @@ class TestFramePayloads:
         (b"FRAMES\n" + bytes(12), 0, "expected FRAME marker"),
         (b"FRAME\r\n" + bytes(12), 0, "expected FRAME marker"),
         (b"\n" + bytes(12), 0, "expected FRAME marker"),
-        (b"FRAME", 5, "unterminated header line"),
-        (b"FRAME Ix", 8, "unterminated header line"),
-        (b"FRAME " + b"X" * 5000 + b"\n", 0, "header line too long"),
+        (b"FRAME", 5, "unterminated frame marker"),
+        (b"FRAME Ix", 8, "unterminated frame marker"),
+        (b"FRAME " + b"X" * 5000 + b"\n", 0, "frame marker too long"),
     ], ids=["garbage", "prefix", "crlf", "empty", "unterminated", "unterminated-params",
             "overlong"])
     def test_bad_second_marker_offsets(self, tail, offset, reason):
@@ -404,7 +404,7 @@ def _expected(header, raw, frames, markers, cut, start):
         if left == 0:
             break
         if left < len(marker):
-            err = ParseError(start + off + left, "unterminated header line")
+            err = ParseError(start + off + left, "unterminated frame marker")
             return type(err), str(err)
         if not raw and marker not in (b"FRAME\n", b"FRAME Ixyz\n", b"FRAME \n"):
             err = ParseError(start + off, f"expected FRAME marker, got {marker[:-1]!r}")
