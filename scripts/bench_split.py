@@ -16,7 +16,15 @@ checkouts. The clips:
   tiny_720p, tiny_long  perfbench ``--size tiny`` inputs (96x64x40, 64x64x600)
   small_300             a 64x64 ``synth`` clip of 300 frames
   perf_720p, perf_long  perfbench ``score_720p`` and ``score_long_small`` clips
+  hd_720p               a 1280x720 ``synth`` clip of 250 frames, noise 0.01
   hd_1080p              a 1920x1080 ``synth`` clip of 120 frames, noise 0.01
+
+With ``--analyze`` each process times in-process
+``analyze(Y4MReader(open(CLIP, "rb")))`` calls instead of ``score``,
+and reports ``ms_per_frame``; run it under ``taskset -c 0`` for one CPU:
+
+    taskset -c 0 python3 scripts/bench_split.py PARENT_DIR CHANGE_DIR --analyze \
+        --clips hd_720p,hd_1080p --pairs 10 --out serial.json
 
 With ``--floor-sweep`` it instead times ``compute_series`` on CHANGE_DIR's
 jerkmeter with every clip split, against serial, on 64x64 and 1280x720
@@ -41,13 +49,21 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 
 
-def child(src: str, clip: str, calls: int) -> None:
-    """Time ``calls`` score calls on ``clip`` with the jerkmeter under ``src``."""
+def child(src: str, clip: str, calls: int, mode: str) -> None:
+    """Time ``calls`` calls of ``mode`` (``score`` or ``analyze``) on ``clip``
+    with the jerkmeter under ``src``."""
     import resource
 
     sys.path.insert(0, src)
     import jerkmeter.cli as cli
+    from jerkmeter import Y4MReader, analyze
     from jerkmeter.quality_model import default_model
+
+    def analyzed():
+        with open(clip, "rb") as handle:
+            result = analyze(Y4MReader(handle))
+        print(result.series.values.tobytes().hex(), result.features)
+        return 0
 
     default_model()
     times, out = [], None
@@ -55,10 +71,10 @@ def child(src: str, clip: str, calls: int) -> None:
         sink = io.StringIO()
         with contextlib.redirect_stdout(sink):
             start = time.perf_counter()
-            code = cli.run(["score", clip, "--json"])
+            code = analyzed() if mode == "analyze" else cli.run(["score", clip, "--json"])
             times.append(time.perf_counter() - start)
         if code != 0 or (out is not None and sink.getvalue() != out):
-            raise SystemExit(f"score on {clip} exited {code} or changed output")
+            raise SystemExit(f"{mode} on {clip} exited {code} or changed output")
         out = sink.getvalue()
     usage = {who: resource.getrusage(who).ru_maxrss / 1024.0
              for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)}
@@ -78,6 +94,7 @@ CLIPS = {
     "small_300": (300, "64x64", "0"),
     "perf_720p": ("score_720p", "full"),
     "perf_long": ("score_long_small", "full"),
+    "hd_720p": (250, "1280x720", "0.01"),
     "hd_1080p": (120, "1920x1080", "0.01"),
 }
 
@@ -163,6 +180,8 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--calls", type=int, default=9,
                         help="score calls per process (default 9)")
+    parser.add_argument("--analyze", action="store_true",
+                        help="time in-process analyze calls instead of score")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--clips", default=None,
                         help="comma-separated clip names (default all)")
@@ -170,11 +189,11 @@ def main(argv=None) -> int:
     parser.add_argument("--floor-sweep", action="store_true",
                         help="time split against serial by clip size on CHANGE_DIR "
                              "alone, with the size floor at 0")
-    parser.add_argument("--child", nargs=3, metavar=("SRC", "CLIP", "CALLS"),
+    parser.add_argument("--child", nargs=4, metavar=("SRC", "CLIP", "CALLS", "MODE"),
                         help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:
-        child(args.child[0], args.child[1], int(args.child[2]))
+        child(args.child[0], args.child[1], int(args.child[2]), args.child[3])
         return 0
 
     srcs = {side: os.path.join(os.path.abspath(d), "src")
@@ -191,10 +210,11 @@ def main(argv=None) -> int:
 
 
 def compare(srcs: dict[str, str], args) -> dict:
-    """Alternating pairs of score processes on each clip, one per checkout."""
+    """Alternating pairs of score (or analyze) processes on each clip, one per checkout."""
     work = tempfile.mkdtemp(prefix="bench_split_")
-    record = {"calls_per_process": args.calls, "pairs": args.pairs, "seed": args.seed,
-              "clips": {}}
+    mode = "analyze" if args.analyze else "score"
+    record = {"mode": mode, "calls_per_process": args.calls, "pairs": args.pairs,
+              "seed": args.seed, "cpus": len(os.sched_getaffinity(0)), "clips": {}}
     try:
         for name in args.clips.split(",") if args.clips else CLIPS:
             clip = make_clip(work, name, args.seed)
@@ -203,11 +223,12 @@ def compare(srcs: dict[str, str], args) -> dict:
                 for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
                     proc = subprocess.run(
                         [sys.executable, __file__, "--child", srcs[side], clip,
-                         str(args.calls)], check=True, capture_output=True, text=True)
+                         str(args.calls), mode], check=True, capture_output=True, text=True)
                     runs[side].append(json.loads(proc.stdout))
             if len({r.pop("stdout") for side in runs.values() for r in side}) != 1:
                 raise SystemExit(f"{name}: the checkouts printed different scores")
-            entry = {"bytes": os.path.getsize(clip)}
+            frames = CLIPS[name][0] if isinstance(CLIPS[name][0], int) else None
+            entry = {"bytes": os.path.getsize(clip), "frames": frames}
             os.unlink(clip)
             for side, results in runs.items():
                 ms = [r["call_ms"] for r in results]
@@ -215,6 +236,9 @@ def compare(srcs: dict[str, str], args) -> dict:
                                if len(ms) > 1 else ms * 3)
                 entry[side] = {
                     "call_ms": {"median": med, "q1": q1, "q3": q3},
+                    "ms_per_frame": ({k: v / frames for k, v in
+                                      (("median", med), ("q1", q1), ("q3", q3))}
+                                     if frames else None),
                     "self_rss_mb": max(r["self_rss_mb"] for r in results),
                     "children_rss_mb": max(r["children_rss_mb"] for r in results),
                     "forked": any(r["forked"] for r in results),

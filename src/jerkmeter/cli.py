@@ -36,6 +36,7 @@ from .eval_metrics import evaluate
 from .features import FEATURE_NAMES, analyze
 from .frame_analysis import compute_series
 from .freeze_detection import DetectorConfig, FreezeEvent, FreezeTimeline, score_detection
+from .pool import cpu_count
 from .quality_model import default_model, load_model, save_model, score_features
 from .training import (
     LMConfig,
@@ -211,7 +212,8 @@ def _flushed(write=lambda: None) -> None:
 
 
 def _emit(args, doc: dict, human) -> None:
-    _flushed(lambda: print(json.dumps({"schema": JSON_SCHEMA, **doc}, indent=2))
+    _flushed(lambda: print(json.dumps({"schema": JSON_SCHEMA, **doc}, indent=2,
+                                      allow_nan=False))
              if args.json else human(doc))
 
 
@@ -246,7 +248,7 @@ def _cmd_degrade(args) -> int:
     truth_doc = {"schema": JSON_SCHEMA, "kind": args.kind, **_timeline_doc(truth)}
     if args.truth:
         with open(args.truth, "w", encoding="utf-8") as handle:
-            json.dump(truth_doc, handle, indent=2)
+            json.dump(truth_doc, handle, indent=2, allow_nan=False)
             handle.write("\n")
     _emit(args, {"out": args.out, "truth": args.truth, "kind": args.kind,
                  "events": truth_doc["events"]},
@@ -342,7 +344,7 @@ def _cmd_train(args) -> int:
         group_by_source=args.group_by_source,
     )
     samples = load_samples_csv(args.data, detector_config=_detector_config(args))
-    result = exhaustive_search(samples, config, workers=args.threads)
+    result = exhaustive_search(samples, config, workers=args.threads or cpu_count())
     with open(args.out, "wb") as handle:
         handle.write(save_model(result.model))
     if args.ranking:
@@ -470,8 +472,9 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("train", parents=[common, seeded, detector],
                        help="fit a model from annotated samples")
     p.add_argument("--data", required=True, help="sample CSV")
-    p.add_argument("--threads", type=_parse_count, default=1,
-                   help="worker processes of the structure search (default 1)")
+    p.add_argument("--threads", type=_parse_count, default=None,
+                   help="worker processes of the structure search (default: "
+                        "the CPUs this process may run on)")
     p.add_argument("--subset-sizes", type=_parse_int_list,
                    default=SearchConfig.subset_sizes)
     p.add_argument("--hidden", type=_parse_int_list,

@@ -82,7 +82,8 @@ class ConfigError(JerkmeterError):
 
 
 class NumericalFailure(JerkmeterError):
-    """The damped normal equations could not be solved."""
+    """A computation broke down: the damped normal equations could not be
+    solved, or a score or metric left the float range."""
 
 
 class DegenerateInput(JerkmeterError):

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInput, ShapeError
+from .errors import DegenerateInput, NumericalFailure, ShapeError
 
 
 @dataclass(frozen=True)
@@ -36,8 +36,8 @@ def pearson(x, y) -> float:
         raise DegenerateInput("need at least 2 points")
     dx = x - x.mean()
     dy = y - y.mean()
-    sx = float(dx @ dx)
-    sy = float(dy @ dy)
+    sx = dx @ dx  # numpy floats, so that sx * sy overflowing raises in evaluate
+    sy = dy @ dy
     if sx == 0.0 or sy == 0.0:
         raise DegenerateInput("constant input has no defined correlation")
     return float(dx @ dy) / np.sqrt(sx * sy)
@@ -83,10 +83,19 @@ def rrmse(pred, dmos, scale_range: float | None = None) -> float:
 
 
 def evaluate(pred, dmos, scale_range: float | None = None) -> EvalReport:
+    """All three metrics; NumericalFailure where a sum of squares overflows."""
     pred, dmos = _paired(pred, dmos)
-    return EvalReport(
-        pcc=pearson(pred, dmos),
-        srocc=spearman(pred, dmos),
-        rrmse=rrmse(pred, dmos, scale_range),
-        n=int(pred.size),
-    )
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            report = EvalReport(
+                pcc=pearson(pred, dmos),
+                srocc=spearman(pred, dmos),
+                rrmse=rrmse(pred, dmos, scale_range),
+                n=int(pred.size),
+            )
+        finite = np.isfinite([report.pcc, report.srocc, report.rrmse]).all()
+    except FloatingPointError:
+        finite = False
+    if not finite:
+        raise NumericalFailure("the predictions are too large for the metrics")
+    return report

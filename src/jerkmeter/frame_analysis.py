@@ -13,7 +13,6 @@ arithmetic would: results are bit-exact and platform independent.
 
 from __future__ import annotations
 
-import mmap
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -21,7 +20,7 @@ import numpy as np
 
 from .errors import JerkmeterError, ShapeError, TooFewFrames
 from .pool import _claimed_map, cpu_count
-from .video_io import _MARKER_BYTES, LumaFrame, Y4MReader
+from .video_io import LumaFrame, Y4MReader
 
 # A transition must exceed this multiple of the recent mean to count as a cut.
 SCENE_CUT_FACTOR = 5.0
@@ -29,11 +28,12 @@ SCENE_CUT_HISTORY = 5
 # compute_series reads and differences as many frames at once as fit in
 # this many bytes, at least one.
 _BLOCK_BYTES = 1 << 18
-# compute_series splits a clip into frame ranges on several processes only
-# from this many unread bytes on. On 2 CPUs two ranges broke even between
-# 16 and 24 MiB at 64x64 and at 1280x720, and won at 32 MiB
-# (floor_sweep in BENCH_split.json); mapped ranges won from 16 MiB on a
-# quiet host and lost up to 64 MiB on a loaded one (floor_sweep_mapped).
+# compute_series differences a regular file from a read-only mapping, on
+# one CPU too, only from this many unread bytes on; the CPU count sets only
+# how many slices run. On 2 CPUs two ranges broke even between 16 and 24
+# MiB at 64x64 and 1280x720, and won at 32 MiB (floor_sweep in
+# BENCH_split.json); mapped ranges won from 16 MiB on a quiet host and lost
+# up to 64 MiB on a loaded one (floor_sweep_mapped).
 _SPLIT_BYTES = 1 << 25
 # Most squared uint8 differences a uint32 sum holds: 255**2 * 66051 < 2**32.
 _SUM32_PIXELS = 66051
@@ -140,8 +140,8 @@ def _series_values(source: Iterable[LumaFrame] | Y4MReader) -> np.ndarray:
     block however long the clip.
     """
     if isinstance(source, Y4MReader):
-        # read_frame, not next(iter(source)): a suspended iterator would
-        # hold on to the first frame for the whole call.
+        # read_frame copies the first frame out, leaving the reader's buffer
+        # free for the blocks; perfbench's traced tiny run counts this call.
         head = source.read_frame()
         first = None if head is None else head[0]
         del head
@@ -168,44 +168,23 @@ def _series_values(source: Iterable[LumaFrame] | Y4MReader) -> np.ndarray:
 
 
 def _split_values(source: Y4MReader) -> np.ndarray | None:
-    """Differences of ``source``'s remaining frames, one contiguous slice of
-    ``Y4MReader._mapped`` per CPU this process may run on; None, with
-    ``source`` unread, if the file does not map or a marker is not a bare
-    ``FRAME``, so that a malformed file is read again serially and raises
-    the serial error.
-
-    Each slice shares its last frame with the next one's first, and is
-    differenced in blocks that overlap the same way, so no row is copied.
-    A block's markers are checked before it is read, and the whole pages
-    behind it are released after, so a process holds about one block of
-    the mapping however long its slice.
+    """Differences of ``source``'s remaining frames walked from its mapping
+    in one slice per CPU this process may run on, each sharing its last
+    frame with the next one's first; None, with ``source`` unread, if the
+    file does not map or a marker is not a bare ``FRAME``, so that a
+    malformed file is read again serially and raises the serial error.
     """
-    cpus = cpu_count()
-    mapped = source._mapped(_SPLIT_BYTES) if cpus > 1 else None
+    mapped = source._mapped(_SPLIT_BYTES, _BLOCK_BYTES)
     if mapped is None:
         return None
-    records, offset = mapped
-    frames, record = records.shape
-    marker, luma = source._marker_size, source.header.luma_size
-    parts = min(cpus, frames // 2)
+    frames, walk = mapped
+    parts = min(cpu_count(), frames // 2)
     bounds = [k * frames // parts for k in range(parts)] + [frames - 1]
-    step, page = max(1, _BLOCK_BYTES // record), mmap.PAGESIZE
 
-    def slice_values(k):
-        first, last = bounds[k], bounds[k + 1]
-        released = (offset + first * record) // page * page
-        diffs = []
-        for start in range(first, last, step):
-            block = records[start:min(start + step, last) + 1]
-            if marker and not (block[:, :marker] == _MARKER_BYTES).all():
-                return None
-            rows = block[:, marker:marker + luma]
-            diffs.append(_fd_pairs(rows[:-1], rows[1:]))
-            behind = (offset + (start + len(rows) - 1) * record) // page * page
-            if behind > released:
-                records.base.madvise(mmap.MADV_DONTNEED, released, behind - released)
-                released = behind
-        return np.concatenate(diffs)
+    def slice_values(k):  # a walk ends in None at a marker that is not bare
+        diffs = [rows if rows is None else _fd_pairs(rows[:-1], rows[1:])
+                 for rows in walk(bounds[k], bounds[k + 1])]
+        return None if diffs[-1] is None else np.concatenate(diffs)
 
     try:
         values = _claimed_map(slice_values, parts, parts)
@@ -217,9 +196,9 @@ def _split_values(source: Y4MReader) -> np.ndarray | None:
 def compute_series(source: Iterable[LumaFrame] | Y4MReader) -> FrameDiffSeries:
     """Frame-difference series for a sequence or a streamed frame source.
 
-    A ``Y4MReader`` over a large enough regular file is differenced in
-    frame ranges on the CPUs this process may run on (see
-    ``_split_values``); the series is the same for any count.
+    A ``Y4MReader`` over a regular file of at least ``_SPLIT_BYTES`` is
+    differenced from a mapping of it, in one slice per CPU this process may
+    run on (``_split_values``); the series is the same for any count.
     """
     values = _split_values(source) if isinstance(source, Y4MReader) else None
     if values is None:

@@ -20,7 +20,7 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import ModelFormatError, ShapeError
+from .errors import ModelFormatError, NumericalFailure, ShapeError
 from .features import FEATURE_NAMES, FeatureVector
 
 MODEL_SCHEMA = 1
@@ -123,17 +123,21 @@ class QualityModel:
 def normalize(fv: FeatureVector, model: QualityModel) -> np.ndarray:
     """Z-score the model's selected features, in the model's order."""
     raw = fv.as_array(model.selected_features)
-    return (raw - model.norm_mean) / model.norm_std
+    with np.errstate(all="ignore"):  # an overflow reaches predict as inf
+        return (raw - model.norm_mean) / model.norm_std
 
 
 def predict(x: np.ndarray, model: QualityModel) -> QualityScore:
-    """Score one already-normalized feature vector."""
+    """Score one already-normalized feature vector; NumericalFailure if it overflows."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (model.n_features,):
         raise ShapeError(
             f"expected vector of length {model.n_features}, got shape {x.shape}"
         )
-    value = float(forward(model.hidden, model.output, x))
+    with np.errstate(all="ignore"):
+        value = float(forward(model.hidden, model.output, x))
+    if not np.isfinite(value):
+        raise NumericalFailure(f"the model's output is {value}, not a finite number")
     return QualityScore(dmos_pred=value, calibrated=model.calibrated)
 
 
@@ -153,7 +157,7 @@ def save_model(model: QualityModel) -> bytes:
         "output": model.output.tolist(),
         "meta": dict(model.meta),
     }
-    return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+    return (json.dumps(doc, indent=2, allow_nan=False) + "\n").encode("utf-8")
 
 
 def _require(doc: dict, key: str, kind: type) -> object:

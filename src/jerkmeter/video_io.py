@@ -15,7 +15,7 @@ import mmap
 import os
 import stat
 from dataclasses import dataclass, field
-from typing import BinaryIO, Iterable, Iterator
+from typing import BinaryIO, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -397,17 +397,20 @@ class Y4MReader:
         while (payload := self._read_records(count)) is not None:
             yield payload[:, :self.header.luma_size]
 
-    def _mapped(self, min_bytes: int) -> tuple[np.ndarray, int] | None:
-        """The unread records as a (frames, record) view of a read-only
-        mapping of the file, with the file offset of frame 0; None, this
-        reader unread either way, if they do not map.
+    def _mapped(self, min_bytes: int, max_bytes: int) -> tuple[int, Callable] | None:
+        """(frames, walk) over the unread records through one read-only
+        mapping of the file; None, this reader unread either way, if the
+        stream is no regular file, the platform cannot release mapped pages
+        (``mmap.MADV_DONTNEED``), or the unread bytes are less than
+        ``min_bytes`` or no whole number of at least 4 records.
 
-        They map when the stream is a regular file whose unread bytes are a
-        whole number of at least 4 records and at least ``min_bytes``, and
-        the platform can release mapped pages (``mmap.MADV_DONTNEED``). The
-        view's ``base`` is the mapping. A longer marker anywhere changes the
-        file's size, so the caller must check only that each marker it
-        passes is a bare ``FRAME``.
+        ``walk(first, last)`` yields the luma planes of frames ``first`` to
+        ``last`` as (frames, width * height) views of the mapping, in blocks
+        of the records that fit in ``max_bytes`` plus the block before's
+        last frame, and releases the whole pages behind each block after it.
+        It checks each block's markers first, and yields None and stops at
+        one that is not a bare ``FRAME``: a longer marker would change the
+        file's size, so bare ones make the records those the reads give.
         """
         try:
             fd = self._stream.fileno()
@@ -420,7 +423,24 @@ class Y4MReader:
             mapping = mmap.mmap(fd, 0, access=mmap.ACCESS_READ)
         except (AttributeError, OSError, ValueError):
             return None
-        return np.ndarray((frames, self._record), np.uint8, mapping, offset), offset
+        record, marker = self._record, self._marker_size
+        records = np.ndarray((frames, record), np.uint8, mapping, offset)
+        step, page = max(1, max_bytes // record), mmap.PAGESIZE
+
+        def walk(first: int, last: int) -> Iterator[np.ndarray | None]:
+            released = (offset + first * record) // page * page
+            for start in range(first, last, step):
+                block = records[start:min(start + step, last) + 1]
+                if marker and not (block[:, :marker] == _MARKER_BYTES).all():
+                    yield None
+                    return
+                yield block[:, marker:marker + self.header.luma_size]
+                behind = (offset + (start + len(block) - 1) * record) // page * page
+                if behind > released:
+                    mapping.madvise(mmap.MADV_DONTNEED, released, behind - released)
+                    released = behind
+
+        return frames, walk
 
     def read_frame(self) -> tuple[LumaFrame, bytes] | None:
         """Next (luma, chroma-bytes) pair, or None at a clean end of stream."""

@@ -1,6 +1,7 @@
 import hashlib
 import importlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -24,7 +25,7 @@ from jerkmeter import (
     inject,
     load_model,
 )
-from jerkmeter import freeze_detection
+from jerkmeter import cli, freeze_detection
 from jerkmeter.cli import run
 
 from conftest import make_sequence, y4m_bytes
@@ -540,6 +541,38 @@ class TestTrainEval:
         lines = ranking_path.read_text().strip().splitlines()
         assert len(lines) == 14  # header + 13 rows
         assert lines[0].startswith("rank,")
+
+    def test_json_output_is_strict(self, capsys):
+        # A non-finite number would print as Infinity or NaN, which is no JSON.
+        args = type("Args", (), {"json": True})
+        for value in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="not JSON compliant"):
+                cli._emit(args, {"dmos_pred": value}, print)
+        assert capsys.readouterr().out == ""
+
+    def test_default_threads_give_the_bytes_of_one(self, tmp_path, capsys, rng,
+                                                   monkeypatch):
+        # Without --threads the search runs on every CPU this process may run
+        # on, two here whatever the machine has, and writes what one writes.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        seen, search = [], cli.exhaustive_search
+        monkeypatch.setattr(cli, "exhaustive_search", lambda samples, config, workers:
+                            seen.append(workers) or search(samples, config, workers=workers))
+        csv_path = tmp_path / "samples.csv"
+        write_feature_csv(csv_path, rng)
+        model_path, ranking_path = tmp_path / "model.json", tmp_path / "ranking.csv"
+        outputs = []
+        for threads in ([], ["--threads", "1"]):
+            capsys.readouterr()
+            assert run(["train", "--data", str(csv_path), "--subset-sizes", "1,2",
+                        "--hidden", "1", "--folds", "3", "--seed", "5",
+                        "--lm-max-iters", "25", "--lm-restarts", "1", "--json",
+                        "--out", str(model_path), "--ranking", str(ranking_path)]
+                       + threads) == 0
+            outputs.append((capsys.readouterr().out, model_path.read_bytes(),
+                            ranking_path.read_bytes()))
+        assert seen == [2, 1]
+        assert outputs[0] == outputs[1]
 
     def test_eval_reports_metrics(self, tmp_path, capsys, rng):
         csv_path = tmp_path / "samples.csv"

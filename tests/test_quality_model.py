@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from jerkmeter import (
     FeatureVector,
     InvalidModel,
     ModelFormatError,
+    NumericalFailure,
     QualityModel,
     ShapeError,
     default_model,
@@ -108,6 +110,22 @@ class TestPredict:
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
             predict(np.zeros(3), small_model(n=2))
+
+    # Finite numbers whose output leaves the float range: 1e308 + 1e308 is
+    # inf; an input of 1e308 over a std of 1e-10 overflows in normalize and
+    # meets a zero weight, 0 * inf = nan.
+    @pytest.mark.parametrize("hidden,output,x,std", [
+        ([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]], [1e308] * 3, [0.0, 0.0], None),
+        ([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]], [1.0, 1.0, 0.0], [1e308, 0.0], [1e-10, 1.0]),
+    ], ids=["inf", "nan"])
+    def test_overflow_raises_numerical_failure(self, hidden, output, x, std):
+        model = small_model(m=2, hidden=hidden, output=output, std=std)
+        features = FeatureVector(**dict.fromkeys(FEATURE_NAMES, 0.0)).as_array()
+        features[:2] = x
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # and no numpy overflow warning
+            with pytest.raises(NumericalFailure, match="not a finite number"):
+                score_features(FeatureVector(*features), model)
 
     def test_monotone_in_output_weight(self):
         base = small_model(hidden=[[0.3, -0.2, 0.1]], output=[1.0, 0.0])
@@ -254,6 +272,10 @@ class TestSerialization:
         again = load_model(save_model(model))
         assert np.array_equal(again.hidden, model.hidden)
         assert np.array_equal(again.output, model.output)
+
+    def test_non_finite_meta_is_refused_not_written(self):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            save_model(small_model(meta={"loss": math.nan}))
 
     def test_wrong_output_arity_names_field(self):
         doc = json.loads(save_model(default_model()).decode())

@@ -1,18 +1,22 @@
-"""Frame ranges differenced on forked processes give the serial result.
+"""Frame ranges walked from a mapping, on forked processes or on one CPU,
+give the serial result.
 
 ``compute_series(reader)`` maps a large enough regular file read-only
-and differences one slice of its frames per CPU the process may run on.
-A file whose unread bytes are not a whole number of records (a longer
-marker, a truncated frame, trailing raw bytes) is declined before any
-fork; a same-length bad marker is found by the slice that holds it, and
-the file is then read serially. These tests lower the size floor to 0 so
-that small clips split, set the CPU count through
-``os.sched_getaffinity``, and compare every outcome with one CPU's: the
-same value bits and scene-cut flags, or the same exception type and
-message (which holds the frame index or byte offset). One test checks in
-a fresh process that the mapped pages behind each block are released.
+and differences one slice of its frames per CPU the process may run on,
+one slice in the calling process on one CPU. A file whose unread bytes
+are not a whole number of records (a longer marker, a truncated frame,
+trailing raw bytes) is declined before any walk; a same-length bad
+marker is found by the slice that holds it, and the file is then read
+serially. These tests lower the size floor to 0 so that small clips
+map, set the CPU count through ``os.sched_getaffinity``, and compare
+every outcome with that of the buffered reads over the same bytes held
+in memory, which never map: the same value bits and scene-cut flags, or
+the same exception type and message (which holds the frame index or
+byte offset). Two tests check in a fresh process that the mapped pages
+behind each block are released.
 """
 
+import io
 import multiprocessing
 import os
 import subprocess
@@ -67,20 +71,31 @@ def clip(rng, count, width=8, height=6, chroma=ChromaFormat.C420):
     return VideoSequence.from_luma(header, random_frames(rng, count, width, height))
 
 
+def settled(reader):
+    """``compute_series(reader)``'s bits, or its error's type and message."""
+    try:
+        series = compute_series(reader)
+    except JerkmeterError as exc:
+        return type(exc), str(exc)
+    return series.values.tobytes(), series.scene_cut_flags.tobytes()
+
+
 def outcome(path, cpus, header=None):
     """``compute_series`` of ``path`` in a process that may run on ``cpus`` CPUs."""
     with pytest.MonkeyPatch.context() as patch, open(path, "rb") as handle:
         patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
                       raising=False)
-        try:
-            series = compute_series(Y4MReader(handle, header))
-        except JerkmeterError as exc:
-            return type(exc), str(exc)
-    return series.values.tobytes(), series.scene_cut_flags.tobytes()
+        return settled(Y4MReader(handle, header))
+
+
+def buffered(path, header=None):
+    """``compute_series`` of ``path``'s bytes in memory, which never map: the
+    buffered reads every mapped walk must equal."""
+    return settled(Y4MReader(io.BytesIO(path.read_bytes()), header))
 
 
 def assert_split_equals_serial(path, cpus, header=None):
-    serial = outcome(path, 1, header)
+    serial = buffered(path, header)
     assert outcome(path, cpus, header) == serial
     return serial
 
@@ -145,7 +160,7 @@ class TestSplitEqualsSerial:
         assert data[predicted:predicted + 6] == b"FRAME\n"
         path = tmp_path / "clip.y4m"
         path.write_bytes(bytes(data))
-        serial = outcome(path, 1)
+        serial = buffered(path)
         assert len(serial[0]) == 8 * 11
         reads = []  # (frame index, file name) of readers this process differences
         real = frame_analysis._series_values
@@ -189,7 +204,7 @@ class TestSplitEqualsSerial:
         header = seq.header if container == "yuv" else None
         path = tmp_path / f"clip.{container}"
         path.write_bytes(raw_bytes(seq) if header else y4m_bytes(seq))
-        serial = outcome(path, 1, header)
+        serial = buffered(path, header)
         with open(path, "rb") as handle:
             reader = Y4MReader(handle, header)
             series = compute_series(reader)
@@ -311,7 +326,7 @@ class TestProcessHygiene:
             return real(a, b)
 
         monkeypatch.setattr(frame_analysis, "_fd_pairs", dies_in_a_child)
-        assert outcome(path, 2) == outcome(path, 1)
+        assert outcome(path, 2) == buffered(path)
         assert calls == [2]
         assert_no_children()
 
@@ -348,13 +363,53 @@ class TestProcessHygiene:
         monkeypatch.setattr(frame_analysis, "_SPLIT_BYTES", 0)
         path = tmp_path / "clip.y4m"
         path.write_bytes(y4m_bytes(clip(rng, 12)))
-        with open(path, "rb") as handle:
-            assert Y4MReader(handle)._mapped(0) is not None  # it would split
+        with open(path, "rb") as handle:  # it maps
+            assert Y4MReader(handle)._mapped(0, frame_analysis._BLOCK_BYTES) is not None
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         with open(path, "rb") as handle:
             assert compute_series(Y4MReader(handle)).transition_count == 11
         with open(path, "rb") as handle:
             assert analyze(Y4MReader(handle)).series.transition_count == 11
+
+    # 40 frames hold 40 records of unread bytes: the floor is at or one byte
+    # above them. At it, the mapping is walked as one slice in this process
+    # and the buffered reads are never used; below it, the first frame is
+    # read with read_frame (as perfbench's traced tiny run counts) and the
+    # rest through luma_blocks.
+    @pytest.mark.parametrize("above", [0, 1], ids=["at-the-floor", "below-the-floor"])
+    def test_one_cpu_walks_the_mapping_from_the_floor_on(self, rng, tmp_path, split,
+                                                         no_fork, monkeypatch, above):
+        calls = split(1)
+        seq = clip(rng, 40)
+        path = tmp_path / "clip.y4m"
+        path.write_bytes(y4m_bytes(seq))
+        reference = buffered(path)
+        monkeypatch.setattr(frame_analysis, "_SPLIT_BYTES", 40 * record_size(seq) + above)
+        reads = []
+        frame, blocks = Y4MReader.read_frame, Y4MReader.luma_blocks
+        monkeypatch.setattr(Y4MReader, "read_frame",
+                            lambda self: reads.append("read_frame") or frame(self))
+        monkeypatch.setattr(Y4MReader, "luma_blocks",
+                            lambda self, n: reads.append("luma_blocks") or blocks(self, n))
+        assert outcome(path, 1) == reference
+        assert (calls, reads) == (([], ["read_frame", "luma_blocks"]) if above
+                                  else ([1], []))
+
+    @pytest.mark.parametrize("index", [0, 20, 39])
+    def test_one_cpu_bad_marker_raises_the_serial_error(self, rng, tmp_path, split,
+                                                        no_fork, monkeypatch, index):
+        calls = split(1)
+        seq = clip(rng, 40)
+        data = y4m_bytes(seq)
+        path = tmp_path / "clip.y4m"
+        path.write_bytes(with_marker(data, index, b"FRAMX\n"))
+        monkeypatch.setattr(frame_analysis, "_SPLIT_BYTES", 40 * record_size(seq))
+        offset = data.index(b"\n") + 1 + index * record_size(seq)
+        error = (ParseError,
+                 f"parse error at byte {offset}: expected FRAME marker, got b'FRAMX'")
+        assert buffered(path) == error
+        assert outcome(path, 1) == error
+        assert calls == [1]
 
 
 class TestMappedMemory:
@@ -366,7 +421,7 @@ class TestMappedMemory:
         # it (here, pytest); a forked one starts from its own.
         if os.fork():
             sys.exit(os.waitstatus_to_exitcode(os.wait()[1]))
-        os.sched_getaffinity = lambda pid: {0, 1}
+        os.sched_getaffinity = lambda pid: set(range(int(sys.argv[2])))
         frame_analysis._SPLIT_BYTES = 0
         calls, real = [], frame_analysis._claimed_map
         frame_analysis._claimed_map = lambda *args: calls.append(args[1]) or real(*args)
@@ -378,12 +433,9 @@ class TestMappedMemory:
         print(calls, count, grown * 1024)
     """)
 
-    def test_pages_behind_each_block_are_released(self, rng, tmp_path):
-        # 8,192 frames of 64x64 4:2:0 (48 MiB) in two ranges of 24 MiB. The
-        # calling process maps its whole range, but its peak RSS may grow
-        # only by a few MiB (one block, the page-cache folios a fault maps,
-        # importing multiprocessing), not by the range: about 8 MiB with
-        # the release and 28 MiB without it, on Linux 6.18 and ext4.
+    def walk(self, rng, tmp_path, cpus):
+        """(compute_series calls, transitions, peak RSS growth) of a 48 MiB clip:
+        8,192 frames of 64x64 4:2:0, in a fresh process on ``cpus`` CPUs."""
         header = VideoHeader(width=64, height=64, fps_num=25, fps_den=1)
         record = len(b"FRAME\n") + header.frame_size
         path = tmp_path / "clip.y4m"
@@ -394,11 +446,27 @@ class TestMappedMemory:
                 records[:, :6] = np.frombuffer(b"FRAME\n", dtype=np.uint8)
                 sink.write(records.tobytes())
         src = os.path.dirname(os.path.dirname(os.path.abspath(frame_analysis.__file__)))
-        proc = subprocess.run([sys.executable, "-c", self.SCRIPT, str(path)],
+        proc = subprocess.run([sys.executable, "-c", self.SCRIPT, str(path), str(cpus)],
                               env={**os.environ, "PYTHONPATH": src}, capture_output=True,
                               text=True, timeout=120, check=True)
         path.unlink()
         calls, count, grown = proc.stdout.rsplit(" ", 2)
-        assert (calls, int(count)) == ("[2]", 8191)
-        range_bytes = 4096 * record
-        assert int(grown) < range_bytes // 2
+        return calls, int(count), int(grown)
+
+    # A process maps its whole range, but its peak RSS may grow only by a
+    # few MiB (one block, the page-cache folios a fault maps, importing
+    # multiprocessing), not by the range: on 2 CPUs, ranges of 24 MiB grew
+    # it about 8 MiB with the release and 28 MiB without it, on Linux 6.18
+    # and ext4. The bound is half of that range.
+    BOUND = 4096 * (6 + 64 * 64 * 3 // 2) // 2
+
+    def test_pages_behind_each_block_are_released(self, rng, tmp_path):
+        calls, count, grown = self.walk(rng, tmp_path, 2)
+        assert (calls, count) == ("[2]", 8191)
+        assert grown < self.BOUND
+
+    def test_pages_behind_each_block_are_released_on_one_cpu(self, rng, tmp_path):
+        # One slice of all 48 MiB, walked in the calling process.
+        calls, count, grown = self.walk(rng, tmp_path, 1)
+        assert (calls, count) == ("[1]", 8191)
+        assert grown < self.BOUND

@@ -3,13 +3,19 @@
 Every input must give a result or a JerkmeterError, which the CLI maps to
 exit code 1 or 2; nothing may escape as another exception. Inputs are
 mutations of a valid document, arbitrary JSON values in the document's
-shape, or arbitrary bytes. The cases first found by hand are pinned as
-explicit examples.
+shape, or arbitrary bytes; model inputs also include the bundled model
+with finite numbers of any size, and every model that loads is run
+through `score` and `eval`, which must print finite numbers or exit 2.
+The cases first found by hand are pinned as explicit examples.
 """
 
+import contextlib
 import io
+import itertools
 import json
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, seed, settings
 from hypothesis import strategies as st
@@ -71,6 +77,25 @@ model_docs = st.fixed_dictionaries({}, optional={
     "norm": json_values | st.fixed_dictionaries(
         {"mean": json_values, "std": json_values}),
     "hidden": json_values, "output": json_values, "meta": json_values})
+finite = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [1e308, -1e308, 1e154, 5e-324])
+
+
+@st.composite
+def extreme_models(draw):
+    """The bundled model with one key's numbers replaced by finite floats of any size."""
+    doc = json.loads(VALID_MODEL)
+    key = draw(st.sampled_from(["mean", "std", "hidden", "output"]))
+    numbers = lambda n: draw(st.lists(finite, min_size=n, max_size=n))
+    if key == "hidden":
+        doc["hidden"] = [numbers(len(row)) for row in doc["hidden"]]
+    elif key == "output":
+        doc["output"] = numbers(len(doc["output"]))
+    else:
+        doc["norm"][key] = numbers(len(doc["norm"][key]))
+    return json.dumps(doc)
+
+
 truth_docs = st.fixed_dictionaries({}, optional={
     "frame_count": json_values, "fps": json_values,
     "events": json_values | st.lists(st.fixed_dictionaries({}, optional={
@@ -81,20 +106,57 @@ def as_bytes(data) -> bytes:
     return data if isinstance(data, bytes) else data.encode("utf-8")
 
 
+@pytest.fixture(scope="module")
+def scoring_inputs(tmp_path_factory):
+    """(clip, sample table, model path) for the CLI runs of the model fuzz."""
+    work = tmp_path_factory.mktemp("scoring")
+    clip = work / "clip.y4m"
+    clip.write_bytes(y4m_bytes(make_sequence(np.random.default_rng(5), count=30)))
+    table = work / "samples.csv"
+    table.write_text(VALID_CSV)
+    return str(clip), str(table), work / "model.json"
+
+
+def refuse_constant(name):
+    raise AssertionError(f"{name} is not JSON")
+
+
 class TestFuzz:
     @seed(20261018)
     @settings(max_examples=300, deadline=None)
-    @given(data=texts(VALID_MODEL, model_docs))
+    @given(data=texts(VALID_MODEL, model_docs) | extreme_models())
     @example(data=b"\xff")
     @example(data=DEEP)
     @example(data="1" * 5000)
     @example(data=VALID_MODEL.replace('"schema": 1', '"schema": true'))
     @example(data=RAGGED_MODEL)
-    def test_model_json(self, data):
+    @example(data=json.dumps({**json.loads(VALID_MODEL), "output": [1e308] * 4}))
+    def test_model_json(self, scoring_inputs, data):
         try:
             load_model(data)
         except JerkmeterError:
-            pass
+            return
+        # A model that loads scores a clip and a table either with exit 0 and
+        # finite numbers (strict JSON, nothing on stderr, with --json), or
+        # with exit 2 and one error line; never with a numpy warning.
+        clip, table, model = scoring_inputs
+        model.write_bytes(as_bytes(data))
+        for argv, mode in itertools.product(
+                (["score", clip], ["eval", "--data", table]), ([], ["--json"])):
+            out, err = io.StringIO(), io.StringIO()
+            with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                warnings.simplefilter("error")
+                code = run(argv + ["--model", str(model)] + mode)
+            if code == 0 and mode:
+                json.loads(out.getvalue(), parse_constant=refuse_constant)
+                assert err.getvalue() == ""
+            elif code == 0:
+                assert "inf" not in out.getvalue() and "nan" not in out.getvalue()
+            else:
+                assert code == 2 and out.getvalue() == ""
+                assert err.getvalue().startswith("jerkmeter: error: ")
+                assert err.getvalue().count("\n") == 1
 
     @seed(20261018)
     @settings(max_examples=300, deadline=None,
@@ -204,6 +266,16 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("jerkmeter: error: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
+    def test_model_output_beyond_the_float_range(self, clip, tmp_path, capsys, mode):
+        # Every number is finite, but the score is 1e308 * (h1 + h2 + h3) = inf.
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({**json.loads(VALID_MODEL), "output": [1e308] * 4}))
+        capsys.readouterr()
+        assert run(["score", str(clip), "--model", str(path)] + mode) == 2
+        assert capsys.readouterr() == (
+            "", "jerkmeter: error: the model's output is inf, not a finite number\n")
 
     @pytest.mark.parametrize("schema", ["true", "1.0"])
     def test_model_schema_is_the_json_integer_1(self, clip, tmp_path, capsys, schema):
