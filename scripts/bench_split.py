@@ -9,9 +9,9 @@ processes, one per checkout, each import that checkout's ``src`` and time
 ``--calls`` ``jerkmeter.cli.run(["score", CLIP, "--json"])`` calls. Each
 process reports its median call time, its own peak RSS
 (``RUSAGE_SELF``), the largest peak RSS of its reaped children
-(``RUSAGE_CHILDREN``, 0 when it never forked) and whether it imported
-``multiprocessing``. The stdout of every call must match across both
-checkouts. The clips:
+(``RUSAGE_CHILDREN``, 0 when it never forked) and whether the calls
+forked: whether the CPU time of its reaped children grew. The stdout of
+every call must match across both checkouts. The clips:
 
   tiny_720p, tiny_long  perfbench ``--size tiny`` inputs (96x64x40, 64x64x600)
   small_300             a 64x64 ``synth`` clip of 300 frames
@@ -65,7 +65,12 @@ def child(src: str, clip: str, calls: int, mode: str) -> None:
         print(result.series.values.tobytes().hex(), result.features)
         return 0
 
+    def children_cpu_s():
+        usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+        return usage.ru_utime + usage.ru_stime
+
     default_model()
+    children_cpu0 = children_cpu_s()
     times, out = [], None
     for _ in range(calls):
         sink = io.StringIO()
@@ -82,7 +87,7 @@ def child(src: str, clip: str, calls: int, mode: str) -> None:
         "call_ms": 1e3 * statistics.median(times),
         "self_rss_mb": usage[resource.RUSAGE_SELF],
         "children_rss_mb": usage[resource.RUSAGE_CHILDREN],
-        "forked": "multiprocessing" in sys.modules,
+        "forked": children_cpu_s() > children_cpu0,
         "stdout": out,
     }))
 

@@ -29,12 +29,14 @@ SCENE_CUT_HISTORY = 5
 # this many bytes, at least one.
 _BLOCK_BYTES = 1 << 18
 # compute_series differences a regular file from a read-only mapping, on
-# one CPU too, only from this many unread bytes on; the CPU count sets only
-# how many slices run. On 2 CPUs two ranges broke even between 16 and 24
-# MiB at 64x64 and 1280x720, and won at 32 MiB (floor_sweep in
+# one CPU too, only from this many unread bytes on: about four chunks per
+# CPU, claimed one at a time. On 2 CPUs two ranges broke even between 16
+# and 24 MiB at 64x64 and 1280x720, and won at 32 MiB (floor_sweep in
 # BENCH_split.json); mapped ranges won from 16 MiB on a quiet host and lost
 # up to 64 MiB on a loaded one (floor_sweep_mapped).
 _SPLIT_BYTES = 1 << 25
+# A process that starts late or runs slow claims fewer of these chunks.
+_CHUNKS_PER_CPU = 4
 # Most squared uint8 differences a uint32 sum holds: 255**2 * 66051 < 2**32.
 _SUM32_PIXELS = 66051
 
@@ -169,16 +171,17 @@ def _series_values(source: Iterable[LumaFrame] | Y4MReader) -> np.ndarray:
 
 def _split_values(source: Y4MReader) -> np.ndarray | None:
     """Differences of ``source``'s remaining frames walked from its mapping
-    in one slice per CPU this process may run on, each sharing its last
-    frame with the next one's first; None, with ``source`` unread, if the
-    file does not map or a marker is not a bare ``FRAME``, so that a
-    malformed file is read again serially and raises the serial error.
+    in about four chunks per CPU, claimed one at a time by one process per
+    CPU, each sharing its last frame with the next one's first; None, with
+    ``source`` unread, if the file does not map or a marker is not a bare
+    ``FRAME``, so that a malformed file raises the serial error.
     """
     mapped = source._mapped(_SPLIT_BYTES, _BLOCK_BYTES)
     if mapped is None:
         return None
     frames, walk = mapped
-    parts = min(cpu_count(), frames // 2)
+    cpus = cpu_count()
+    parts = min(_CHUNKS_PER_CPU * cpus, frames // 2)
     bounds = [k * frames // parts for k in range(parts)] + [frames - 1]
 
     def slice_values(k):  # a walk ends in None at a marker that is not bare
@@ -187,7 +190,7 @@ def _split_values(source: Y4MReader) -> np.ndarray | None:
         return None if diffs[-1] is None else np.concatenate(diffs)
 
     try:
-        values = _claimed_map(slice_values, parts, parts)
+        values = _claimed_map(slice_values, parts, cpus)
     except JerkmeterError:  # a child died before reporting
         return None
     return None if any(v is None for v in values) else np.concatenate(values)
@@ -197,8 +200,8 @@ def compute_series(source: Iterable[LumaFrame] | Y4MReader) -> FrameDiffSeries:
     """Frame-difference series for a sequence or a streamed frame source.
 
     A ``Y4MReader`` over a regular file of at least ``_SPLIT_BYTES`` is
-    differenced from a mapping of it, in one slice per CPU this process may
-    run on (``_split_values``); the series is the same for any count.
+    differenced from a mapping of it in about four chunks per CPU, claimed
+    one at a time (``_split_values``); the series is the same for any count.
     """
     values = _split_values(source) if isinstance(source, Y4MReader) else None
     if values is None:

@@ -199,6 +199,10 @@ def load_model(data: bytes | str) -> QualityModel:
     meta = doc.get("meta", {})
     if not isinstance(meta, dict):
         raise ModelFormatError("meta", "expected an object")
+    try:  # json.loads reads NaN and Infinity, which save_model cannot write
+        json.dumps(meta, allow_nan=False)
+    except ValueError:
+        raise ModelFormatError("meta", "NaN and Infinity are not JSON") from None
     return QualityModel(tuple(features), mean, std, hidden, output, meta)
 
 

@@ -407,7 +407,8 @@ class Y4MReader:
         ``walk(first, last)`` yields the luma planes of frames ``first`` to
         ``last`` as (frames, width * height) views of the mapping, in blocks
         of the records that fit in ``max_bytes`` plus the block before's
-        last frame, and releases the whole pages behind each block after it.
+        last frame. It releases the whole pages behind each block after it,
+        and once done those up to the end of frame ``last``.
         It checks each block's markers first, and yields None and stops at
         one that is not a bare ``FRAME``: a longer marker would change the
         file's size, so bare ones make the records those the reads give.
@@ -435,7 +436,8 @@ class Y4MReader:
                     yield None
                     return
                 yield block[:, marker:marker + self.header.luma_size]
-                behind = (offset + (start + len(block) - 1) * record) // page * page
+                end = start + len(block) - 1  # the next block's first frame, if any
+                behind = (offset + (end + (end == last)) * record) // page * page
                 if behind > released:
                     mapping.madvise(mmap.MADV_DONTNEED, released, behind - released)
                     released = behind

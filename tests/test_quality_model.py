@@ -277,6 +277,17 @@ class TestSerialization:
         with pytest.raises(ValueError, match="not JSON compliant"):
             save_model(small_model(meta={"loss": math.nan}))
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_meta_is_refused_on_load(self, literal):
+        # json.loads reads these literals, which no model file may hold:
+        # save_model could not write the model back.
+        text = save_model(default_model()).decode().replace(
+            '"normalization": "placeholder"', f'"normalization": {literal}')
+        assert literal in text
+        with pytest.raises(ModelFormatError) as exc:
+            load_model(text)
+        assert (exc.value.field, exc.value.reason) == ("meta", "NaN and Infinity are not JSON")
+
     def test_wrong_output_arity_names_field(self):
         doc = json.loads(save_model(default_model()).decode())
         doc["output"] = [0.1] * 5

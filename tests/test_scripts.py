@@ -5,12 +5,15 @@ them here rather than silently. ``project_paper_search.py`` has no size
 flags (it times a fixed 24-structure sample of the paper-default search),
 so it is only loaded and its inputs checked. ``ab_perfbench.py`` runs the benchmark on its tiny
 inputs and ``bench_split.py`` compares on one tiny clip, with this
-checkout on both sides; its floor sweep runs at 1 MiB.
+checkout on both sides; its floor sweep runs at 1 MiB. A ``bench_split``
+child above a lowered size floor reports that it forked.
 """
 
 import importlib.util
 import json
+import os
 import pathlib
+import sys
 
 SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
 
@@ -89,3 +92,16 @@ def test_bench_split(tmp_path, capsys, monkeypatch):
     assert all(row["reps"] == 3 and row["serial_ms"] > 0 and row["split_ms"] > 0
                for row in sweep.values())
     assert "split better in" in capsys.readouterr().out
+
+
+def test_bench_split_child_sees_a_fork(tmp_path, capsys, monkeypatch):
+    bench = load_script("bench_split")
+    clip = bench.make_clip(str(tmp_path), "tiny_long", 3)
+    from jerkmeter import frame_analysis
+
+    monkeypatch.setattr(frame_analysis, "_SPLIT_BYTES", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the child prepends src
+    capsys.readouterr()
+    bench.child(str(SCRIPTS.parent / "src"), clip, 1, "score")
+    assert json.loads(capsys.readouterr().out)["forked"] is True

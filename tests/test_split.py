@@ -2,26 +2,29 @@
 give the serial result.
 
 ``compute_series(reader)`` maps a large enough regular file read-only
-and differences one slice of its frames per CPU the process may run on,
-one slice in the calling process on one CPU. A file whose unread bytes
-are not a whole number of records (a longer marker, a truncated frame,
-trailing raw bytes) is declined before any walk; a same-length bad
-marker is found by the slice that holds it, and the file is then read
-serially. These tests lower the size floor to 0 so that small clips
-map, set the CPU count through ``os.sched_getaffinity``, and compare
-every outcome with that of the buffered reads over the same bytes held
-in memory, which never map: the same value bits and scene-cut flags, or
-the same exception type and message (which holds the frame index or
-byte offset). Two tests check in a fresh process that the mapped pages
-behind each block are released.
+and cuts its frames into about four chunks per CPU the process may run
+on, which the calling process and one child forked per further CPU claim
+one at a time; on one CPU the calling process walks every chunk. A file
+whose unread bytes are not a whole number of records (a longer marker, a
+truncated frame, trailing raw bytes) is declined before any walk; a
+same-length bad marker is found by the chunk that holds it, and the file
+is then read serially. These tests lower the size floor to 0 so that
+small clips map, set the CPU count through ``os.sched_getaffinity``, and
+compare every outcome with that of the buffered reads over the same
+bytes held in memory, which never map: the same value bits and scene-cut
+flags, or the same exception type and message (which holds the frame
+index or byte offset). Fresh processes check that the mapped pages
+behind each block are released and that a split forks without
+``multiprocessing``.
 """
 
 import io
-import multiprocessing
+import mmap
 import os
 import subprocess
 import sys
 import textwrap
+import time
 
 import numpy as np
 import pytest
@@ -40,19 +43,20 @@ from jerkmeter import (
     analyze,
     compute_series,
 )
-from jerkmeter import frame_analysis
+from jerkmeter import frame_analysis, pool
 
 from conftest import random_frames, y4m_bytes
 
 
 @pytest.fixture
 def split(monkeypatch):
-    """Split every file, on `n` CPUs whatever this machine has; count the splits."""
+    """Split every file, on `n` CPUs whatever this machine has; record the
+    worker count of each split."""
     calls = []
     real = frame_analysis._claimed_map
 
     def counted(evaluate, total, workers):
-        calls.append(total)
+        calls.append(workers)
         return real(evaluate, total, workers)
 
     def use(n):
@@ -126,8 +130,8 @@ class TestSplitEqualsSerial:
         assert calls == [cpus]
         assert len(values) == 8 * (count - 1)
 
-    # Ranges start at frames 0 and 6. A longer marker anywhere makes the
-    # file's size no whole number of records, which is seen before any fork.
+    # A longer marker anywhere makes the file's size no whole number of
+    # records, which is seen before any fork.
     @pytest.mark.parametrize("index,splits", [(0, []), (5, []), (11, []), (6, []),
                                               (8, [])])
     def test_non_bare_marker(self, rng, tmp_path, split, index, splits):
@@ -138,13 +142,14 @@ class TestSplitEqualsSerial:
         assert len(values) == 8 * 11
         assert calls == splits
 
-    # Three ranges start at frames 0, 4 and 8, and frame 5 has a longer
-    # marker while FRAME still sits where frame 8 would start were every
-    # marker bare. This process reads the file itself from frame 0.
+    # Chunks start at every other frame, and frame 5 has a longer marker
+    # while FRAME still sits where frame 8 would start were every marker
+    # bare. This process reads the file itself from frame 0.
     # - "crafted": 10 bytes longer, with FRAME written into the payload at
     #   that offset; the size is no whole number of records, so no fork.
     # - "record": exactly one record longer, so that offset holds frame 7's
-    #   bare marker; range 1 finds the longer marker where frame 5 starts.
+    #   bare marker; the chunk from frame 4 finds the longer marker where
+    #   frame 5 starts.
     @pytest.mark.parametrize("longer", ["crafted", "record"])
     def test_marker_bare_at_every_start_but_not_between(self, rng, tmp_path, split,
                                                         monkeypatch, longer):
@@ -229,9 +234,9 @@ class TestSplitEqualsSerial:
         assert error[0] is ParseError
         assert calls == [3]
 
-    # Ranges of 12 frames on 3 CPUs start at frames 0, 4 and 8 and each
-    # shares its last frame with the next; a same-length marker keeps the
-    # size whole, so the ranges fork and the one holding it declines.
+    # 12 frames on 3 CPUs make six chunks, from frames 0, 2, 4, 6, 8 and 10,
+    # each sharing its last frame with the next; a same-length marker keeps
+    # the size whole, so the chunks fork and one holding it declines.
     @pytest.mark.parametrize("index", [0, 4, 9, 11])
     def test_same_length_garbage_marker_forks_then_raises_serially(
             self, rng, tmp_path, split, index):
@@ -255,6 +260,20 @@ class TestSplitEqualsSerial:
         assert_split_equals_serial(path, 2)
         assert calls == [2]
 
+    @pytest.mark.parametrize("count,cpus", [(4, 2), (17, 2), (40, 2), (9, 3), (40, 3),
+                                            (40, 1)])
+    def test_about_four_chunks_per_cpu(self, rng, tmp_path, split, monkeypatch,
+                                       count, cpus):
+        assert split(cpus) == []
+        chunks, counted = [], frame_analysis._claimed_map
+        monkeypatch.setattr(frame_analysis, "_claimed_map",
+                            lambda evaluate, total, workers:
+                            chunks.append(total) or counted(evaluate, total, workers))
+        path = tmp_path / "clip.y4m"
+        path.write_bytes(y4m_bytes(clip(rng, count)))
+        assert_split_equals_serial(path, cpus)
+        assert chunks == [min(4 * cpus, count // 2)]
+
     @pytest.mark.parametrize("count", [2, 3])
     def test_too_short_to_split(self, rng, tmp_path, split, count):
         calls = split(2)
@@ -271,9 +290,9 @@ class TestSplitEqualsSerial:
             TooFewFrames, "need at least two frames to form a difference")
 
     def test_scene_cut_right_after_a_range_boundary(self, tmp_path, split):
-        # Ranges start at frames 0 and 10; the jump into frame 12 is
-        # transition 11, inside the first five after the boundary, whose
-        # history reaches back into the first range.
+        # Chunks start at frames 0, 2, 5, 7, 10, 12, 15 and 17; the jump
+        # into frame 12 is transition 11, the last of the chunk from frame
+        # 10, whose history reaches back across the boundary at frame 10.
         split(2)
         width, height = 8, 6
         ramp = [np.full((height, width), i % 2, dtype=np.uint8) for i in range(20)]
@@ -288,7 +307,6 @@ class TestSplitEqualsSerial:
 
 
 def assert_no_children():
-    assert multiprocessing.active_children() == []
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -329,6 +347,51 @@ class TestProcessHygiene:
         assert outcome(path, 2) == buffered(path)
         assert calls == [2]
         assert_no_children()
+
+    def test_a_child_that_raises_is_reaped_and_reported(self, tmp_path, split, capfd):
+        split(2)
+        parent = os.getpid()
+        claimed = tmp_path / "claimed"
+
+        def evaluate(i):
+            if os.getpid() != parent:
+                claimed.touch()
+                raise RuntimeError("not a JerkmeterError")
+            # Hold the first index until the child has claimed the second.
+            deadline = time.monotonic() + 30
+            while not claimed.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            return i
+
+        with pytest.raises(JerkmeterError, match=(
+                "^a search worker exited with code 1 before reporting its results$")):
+            pool._claimed_map(evaluate, 2, 2)
+        assert claimed.exists()
+        err = capfd.readouterr().err
+        assert "Traceback" in err and "RuntimeError: not a JerkmeterError" in err
+        assert_no_children()
+
+    def test_a_split_forks_once_without_multiprocessing(self, rng, tmp_path):
+        # A fresh interpreter: a module another test imported stays imported.
+        script = textwrap.dedent("""
+            import os, sys
+            from jerkmeter import Y4MReader, compute_series, frame_analysis
+
+            os.sched_getaffinity = lambda pid: {0, 1}
+            frame_analysis._SPLIT_BYTES = 0
+            forks, fork = [], os.fork
+            os.fork = lambda: forks.append(os.getpid()) or fork()
+            with open(sys.argv[1], "rb") as handle:
+                count = compute_series(Y4MReader(handle)).transition_count
+            print(len(forks), count, "multiprocessing" in sys.modules)
+        """)
+        path = tmp_path / "clip.y4m"
+        path.write_bytes(y4m_bytes(clip(rng, 40)))
+        src = os.path.dirname(os.path.dirname(os.path.abspath(frame_analysis.__file__)))
+        proc = subprocess.run([sys.executable, "-c", script, str(path)],
+                              env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                              text=True, timeout=120, check=True)
+        assert proc.stdout.split() == ["1", "39", "False"]
 
     @pytest.fixture
     def no_fork(self, monkeypatch):
@@ -413,6 +476,33 @@ class TestProcessHygiene:
 
 
 class TestMappedMemory:
+    # A walk of 3-record blocks over a 40-frame clip, from frame 0, from a
+    # chunk boundary and through the last frame.
+    @pytest.mark.parametrize("first,last", [(0, 10), (10, 21), (21, 39)])
+    def test_a_walk_releases_through_its_last_frame(self, rng, tmp_path, monkeypatch,
+                                                   first, last):
+        released = []
+
+        class Spy(mmap.mmap):
+            def madvise(self, option, start, length):
+                released.append((start, start + length))
+                return super().madvise(option, start, length)
+
+        monkeypatch.setattr(mmap, "mmap", Spy)
+        seq = clip(rng, 40, width=64, height=64)
+        data = y4m_bytes(seq)
+        path = tmp_path / "clip.y4m"
+        path.write_bytes(data)
+        record, offset, page = record_size(seq), data.index(b"\n") + 1, mmap.PAGESIZE
+        with open(path, "rb") as handle:
+            frames, walk = Y4MReader(handle)._mapped(0, 3 * record)
+            assert len(list(walk(first, last))) == -(-(last - first) // 3)
+        # Whole pages, each range starting where the one before ended, up to
+        # the page that holds the end of frame ``last``.
+        assert released[0][0] == (offset + first * record) // page * page
+        assert all(a[1] == b[0] for a, b in zip(released, released[1:]))
+        assert released[-1][1] == (offset + (last + 1) * record) // page * page
+
     SCRIPT = textwrap.dedent("""
         import os, resource, sys
         from jerkmeter import Y4MReader, compute_series, frame_analysis
@@ -424,7 +514,7 @@ class TestMappedMemory:
         os.sched_getaffinity = lambda pid: set(range(int(sys.argv[2])))
         frame_analysis._SPLIT_BYTES = 0
         calls, real = [], frame_analysis._claimed_map
-        frame_analysis._claimed_map = lambda *args: calls.append(args[1]) or real(*args)
+        frame_analysis._claimed_map = lambda *args: calls.append(args[2]) or real(*args)
         with open(sys.argv[1], "rb") as handle:
             reader = Y4MReader(handle)
             before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
@@ -434,7 +524,7 @@ class TestMappedMemory:
     """)
 
     def walk(self, rng, tmp_path, cpus):
-        """(compute_series calls, transitions, peak RSS growth) of a 48 MiB clip:
+        """(worker count of each split, transitions, peak RSS growth) of a 48 MiB clip:
         8,192 frames of 64x64 4:2:0, in a fresh process on ``cpus`` CPUs."""
         header = VideoHeader(width=64, height=64, fps_num=25, fps_den=1)
         record = len(b"FRAME\n") + header.frame_size
@@ -453,11 +543,11 @@ class TestMappedMemory:
         calls, count, grown = proc.stdout.rsplit(" ", 2)
         return calls, int(count), int(grown)
 
-    # A process maps its whole range, but its peak RSS may grow only by a
-    # few MiB (one block, the page-cache folios a fault maps, importing
-    # multiprocessing), not by the range: on 2 CPUs, ranges of 24 MiB grew
-    # it about 8 MiB with the release and 28 MiB without it, on Linux 6.18
-    # and ext4. The bound is half of that range.
+    # A process maps the whole file, but its peak RSS may grow only by a
+    # few MiB (one block, the page-cache folios a fault maps), not by what
+    # it walks: on 2 CPUs, walking 24 MiB grew it about 6 MiB with the
+    # release (7.5 MiB while each walk kept its last block mapped) and 28
+    # MiB without it, on Linux 6.18 and ext4. The bound is half of that walk.
     BOUND = 4096 * (6 + 64 * 64 * 3 // 2) // 2
 
     def test_pages_behind_each_block_are_released(self, rng, tmp_path):

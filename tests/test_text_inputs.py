@@ -277,6 +277,14 @@ class TestCli:
         assert capsys.readouterr() == (
             "", "jerkmeter: error: the model's output is inf, not a finite number\n")
 
+    def test_model_meta_nan_is_refused(self, clip, tmp_path, capsys):
+        path = tmp_path / "model.json"
+        path.write_text(VALID_MODEL.replace('"placeholder"', "NaN"))
+        capsys.readouterr()
+        assert run(["score", str(clip), "--model", str(path)]) == 2
+        assert capsys.readouterr() == (
+            "", "jerkmeter: error: bad model field 'meta': NaN and Infinity are not JSON\n")
+
     @pytest.mark.parametrize("schema", ["true", "1.0"])
     def test_model_schema_is_the_json_integer_1(self, clip, tmp_path, capsys, schema):
         path = tmp_path / "model.json"

@@ -699,6 +699,43 @@ class TestWorkers:
         assert [i for i, _ in got] == list(range(300))
         assert len({pid for _, pid in got}) > 1
 
+    def test_no_index_is_claimed_after_an_error(self, cpus, tmp_path):
+        cpus(2)
+
+        def evaluate(i):
+            (tmp_path / str(i)).touch()
+            if i == 0:
+                raise NumericalFailure("structure 0")
+            time.sleep(0.05)
+            return i
+
+        with pytest.raises(NumericalFailure, match="^structure 0$"):
+            pool._claimed_map(evaluate, 200, 2)
+        # Index 0 fails at once, while the child has claimed one index or none.
+        assert len(list(tmp_path.iterdir())) < 10
+
+    def test_a_busy_child_is_killed_when_this_process_fails(self, cpus, tmp_path):
+        cpus(2)
+        caller = os.getpid()
+        claimed = tmp_path / "claimed"
+
+        def evaluate(i):
+            if os.getpid() != caller:
+                claimed.touch()
+                time.sleep(30)
+                return i
+            deadline = time.monotonic() + 30
+            while not claimed.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            raise RuntimeError("not a JerkmeterError")
+
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match="^not a JerkmeterError$"):
+            pool._claimed_map(evaluate, 2, 2)
+        assert claimed.exists() and time.monotonic() - start < 20
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
     def test_worker_count_is_capped_without_starting_processes(self, cpus):
         cpus(2)
         assert pool._worker_count(10**6, 14) == 2
