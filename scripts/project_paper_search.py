@@ -7,10 +7,12 @@ nodes that passes the weight-count bound, each scored by 10-fold CV with 5
 LM restarts of up to 500 iterations. This script plants a network on an
 80-row synthetic feature table, times `cross_validate` on a fixed random
 sample of those structures, and prints the mean time per structure times
-the number of structures. It then times the same sample through the
-search's worker processes, at 1 worker and at one per CPU, and projects
-each wall time the same way. The table, sample and seeds are fixed, so
-runs on different commits are comparable.
+the number of structures. It also prints how many damped systems that
+serial pass solved: a count that repeats exactly, where the timings vary
+with the host. It then times the same sample through the search's worker
+processes, at 1 worker and at one per CPU, and projects each wall time
+the same way. The table, sample and seeds are fixed, so runs on different
+commits are comparable.
 
     python3 scripts/project_paper_search.py
 """
@@ -26,6 +28,7 @@ from jerkmeter import (
     TrainingSample,
     cross_validate,
 )
+from jerkmeter import training
 from jerkmeter.pool import _claimed_map, _worker_count
 from jerkmeter.training import enumerate_combinations
 
@@ -52,17 +55,26 @@ def main():
     combos = enumerate_combinations(config)
     rng = np.random.default_rng(SEED)
     picked = sorted(rng.choice(len(combos), size=SAMPLE, replace=False))
-    times, errors = [], []
+    times, errors, systems = [], [], []
+    solve = training._solve
+
+    def counted_solve(a, b):
+        systems.append(len(b))
+        return solve(a, b)
+
+    training._solve = counted_solve
     for i in picked:
         subset, m = combos[i]
         start = time.perf_counter()
         errors.append(cross_validate(samples, subset, m, config))
         times.append(time.perf_counter() - start)
         print(f"{times[-1]:7.2f} s  cv {errors[-1]:.5f}  M={m}  {'+'.join(subset)}")
+    training._solve = solve
     mean = sum(times) / len(times)
     print(f"mean {mean:.3f} s per structure (min {min(times):.2f}, "
           f"max {max(times):.2f}) x {len(combos):,} structures "
           f"= {mean * len(combos) / 3600:.1f} h projected")
+    print(f"damped systems solved: {sum(systems):,} in {len(systems):,} solve calls")
 
     def evaluate(k):
         subset, m = combos[picked[k]]

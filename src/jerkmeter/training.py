@@ -8,9 +8,9 @@ bound: the weight count M(N+1)+M+1 must stay strictly below the
 training sample count, or the net can memorize the folds.
 
 Cross-validation fits all folds x restarts of one structure as one
-batch: the problems run in lockstep, one LM iteration of each per round,
-so numpy is called per round rather than per problem. Each fit is bit
-for bit what fitting its problem alone would give.
+batch: each round makes one damped trial of every unfinished problem, so
+numpy is called per round rather than per problem. Each fit is bit for
+bit what fitting its problem alone would give.
 
 Everything downstream of the rng seed is deterministic: fold assignment
 is derived from the seed alone and each (subset, M) combination gets its
@@ -127,6 +127,22 @@ def fit_normalization(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, std
 
 
+def _normalize(x_raw: np.ndarray, train: np.ndarray | slice,
+               names: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The `train` rows' normalization statistics, and all rows z-scored by them.
+
+    Raises NumericalFailure for the first feature that leaves the float range.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, std = fit_normalization(x_raw[train])
+        z = (x_raw - mean) / std
+    bad = ~(np.isfinite(std) & np.isfinite(z).all(axis=0))
+    if bad.any():
+        raise NumericalFailure(
+            f"feature {names[bad.argmax()]} is too large to normalize")
+    return mean, std, z
+
+
 # --- Levenberg-Marquardt ------------------------------------------------
 
 @dataclass(frozen=True)
@@ -219,20 +235,22 @@ def _solve(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x, solved
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing trial is rejected
 def _lm_batch(xs: Sequence[np.ndarray], ys: Sequence[np.ndarray], m: int,
               cfg: LMConfig,
               seeds: Sequence[Sequence[np.random.SeedSequence]]
               ) -> list[list[LMFit]]:
-    """Levenberg-Marquardt fits of many independent problems in lockstep.
+    """Levenberg-Marquardt fits of many independent problems at once.
 
     Problem (i, j) fits design matrix ``xs[i]`` to ``ys[i]`` from a start
     drawn with ``seeds[i][j]``; every ``xs[i]`` has the same shape. Each
-    round is one LM iteration of every unfinished problem, with their
-    Jacobian products, damped solves and trial steps stacked, so numpy is
-    called per round rather than per problem. Each problem's arithmetic,
-    and so its fit, is bit for bit that of fitting it alone. A
-    NumericalFailure is raised for the first failing problem in order, as
-    fitting them one by one would.
+    round makes one damped trial of every unfinished problem, stacked, so
+    numpy is called per round rather than per problem. A problem that has
+    just started or whose last trial was accepted first forms its normal
+    equations; one whose last trial was rejected retries on them with ten
+    times the damping. So each fit is bit for bit that of fitting its
+    problem alone. A NumericalFailure is raised for the first failing
+    problem in order, as fitting them one by one would.
     """
     n_samples, n = xs[0].shape
     mk = m * (n + 1)
@@ -255,8 +273,7 @@ def _lm_batch(xs: Sequence[np.ndarray], ys: Sequence[np.ndarray], m: int,
         r -= y_all[rows]
         return r, h
 
-    # State of the unfinished problems, one row each; `ids` numbers them.
-    ids = np.arange(total)
+    # State of every problem, one row each; a finished row keeps its fit.
     w = np.stack([np.random.default_rng(s).uniform(
         -_INIT_SCALE, _INIT_SCALE, size=p)
         for group in seeds for s in group])
@@ -264,101 +281,72 @@ def _lm_batch(xs: Sequence[np.ndarray], ys: Sequence[np.ndarray], m: int,
     sse = _sumsq(r)
     lam = np.full(total, _LAMBDA_INIT)
     history = [[v] for v in (sse / n_samples).tolist()]
-    final_w = np.empty((total, p))
-    final_sse = np.empty(total)
-    iterations = np.full(total, cfg.max_iters)
+    iterations = np.zeros(total, dtype=int)
+    grad = np.empty((total, p))
+    jtj = np.empty((total, p, p))
+    live = np.ones(total, dtype=bool)
+    fresh = live.copy()  # needs the normal equations at its current weights
     failure: tuple[int, str] | None = None
     jac = np.ones((max(len(group) for group in seeds), n_samples, p))
 
     def fail(row, message):
         nonlocal failure
-        if failure is None or ids[row] < failure[0]:
-            failure = (int(ids[row]), message)
+        if failure is None or row < failure[0]:
+            failure = (int(row), message)
 
-    def try_steps(pending, width, rows, jtj, neg_grad, done):
-        """Try the next `width` damping values of each pending problem.
-
-        Returns the problems that still have no accepted step. The values
-        follow each problem's own sequence, and the first accepted one is
-        kept, so the result is that of trying them one at a time.
-        """
-        lams = np.empty((pending.size, width + 1))
-        lams[:, 0] = lam[pending]
-        for c in range(width):
-            lams[:, c + 1] = lams[:, c] * _LAMBDA_UP
-        slot, col = np.nonzero(lams[:, :width] <= _LAMBDA_MAX)
-        own = pending[slot]
-        lam_t = lams[slot, col]
-        damped = jtj[own]
-        damped.reshape(len(own), p * p)[:, :: p + 1] += lam_t[:, None]
-        delta, solved = _solve(damped, neg_grad[own])
-        w_t = w[own] + delta
-        r_t, h_t = residuals(w_t, rows[own])
+    def trial(act):
+        """One damped trial of each problem in `act` on its stored equations."""
+        lam_t = lam[act]
+        damped = jtj[act]
+        damped.reshape(act.size, p * p)[:, :: p + 1] += lam_t[:, None]
+        delta, solved = _solve(damped, -grad[act])
+        del damped  # gone before the trial's residuals
+        w_t = w[act] + delta
+        r_t, h_t = residuals(w_t, design[act])
         sse_t = _sumsq(r_t)
-        better = solved & np.isfinite(sse_t) & (sse_t < sse[own])
+        better = solved & np.isfinite(sse_t) & (sse_t < sse[act])
         # More damping makes the system better conditioned; only a
         # failure at the ceiling is a genuine numerical breakdown.
         stuck = ~solved & (lam_t >= _LAMBDA_MAX)
-        events = np.flatnonzero(better | stuck)
-        hit = slot[events]
-        first = events[hit != np.concatenate(([-1], hit[:-1]))]  # per slot
-        for t in first[stuck[first]]:
-            fail(own[t], f"normal equations singular even at lambda={lam_t[t]:g}")
-            done[own[t]] = True
-        t = first[better[first]]
-        acc = own[t]
-        w[acc], r[acc], h[acc], sse[acc] = w_t[t], r_t[t], h_t[t], sse_t[t]
-        lam[acc] = np.maximum(lam_t[t] * _LAMBDA_DOWN, _LAMBDA_MIN)
-        for i, v in zip(ids[acc].tolist(), (sse_t[t] / n_samples).tolist()):
-            history[i].append(v)
-        done[acc] = np.sqrt(_sumsq(delta[t])) < _TOL_STEP * (
-            np.sqrt(_sumsq(w_t[t])) + _TOL_STEP)
-        missed = np.ones(pending.size, dtype=bool)
-        missed[hit] = False
-        pending = pending[missed]
-        lam[pending] = lams[missed, width]
-        exhausted = lam[pending] > _LAMBDA_MAX
-        done[pending[exhausted]] = True
-        return pending[~exhausted]
+        for row, value in zip(act[stuck].tolist(), lam_t[stuck].tolist()):
+            fail(row, f"normal equations singular even at lambda={value:g}")
+        acc = act[better]
+        w[acc], r[acc], h[acc], sse[acc] = (
+            w_t[better], r_t[better], h_t[better], sse_t[better])
+        for row, v in zip(acc.tolist(), (sse_t[better] / n_samples).tolist()):
+            history[row].append(v)
+        lam[act] = np.where(better, np.maximum(lam_t * _LAMBDA_DOWN, _LAMBDA_MIN),
+                            lam_t * _LAMBDA_UP)
+        small = np.sqrt(_sumsq(delta[better])) < _TOL_STEP * (
+            np.sqrt(_sumsq(w_t[better])) + _TOL_STEP)
+        live[act[stuck]] = False
+        live[acc[small | (iterations[acc] == cfg.max_iters)]] = False
+        fresh[:] = False
+        fresh[acc] = live[acc]
 
-    for it in range(1, cfg.max_iters + 1):
-        rows = design[ids]
-        grad = np.empty((len(ids), p))
-        jtj = np.empty((len(ids), p, p))
-        for lo, hi, i in _runs(rows):
-            block = _jacobian(x1s[i], h[lo:hi], w[lo:hi, mk:-1],
-                              out=jac[: hi - lo])
+    while True:
+        new = np.flatnonzero(fresh)
+        iterations[new] += 1
+        for lo, hi, i in _runs(design[new]):
+            own = new[lo:hi]
+            block = _jacobian(x1s[i], h[own], w[own, mk:-1], out=jac[: hi - lo])
             block_t = block.transpose(0, 2, 1)
-            np.matmul(block_t, r[lo:hi, :, None], out=grad[lo:hi, :, None])
-            np.matmul(block_t, block, out=jtj[lo:hi])
-        done = np.abs(grad).max(axis=1) < _TOL_GRAD
-        broken = ~done & ~np.isfinite(jtj).all(axis=(1, 2))
+            grad[own] = np.matmul(block_t, r[own, :, None])[:, :, 0]
+            jtj[own] = np.matmul(block_t, block)
+        flat = np.abs(grad[new]).max(axis=1) < _TOL_GRAD
+        broken = ~flat & ~np.isfinite(jtj[new]).all(axis=(1, 2))
         if broken.any():
-            fail(np.flatnonzero(broken)[0], "non-finite normal equations")
-            done |= broken
-        # A rejected problem retries within the round: passes try the next
-        # 1, 2, 4, ... damping values at once, at most `total` trials a pass.
-        pending = np.flatnonzero(~done)
-        tries = 1
-        while pending.size:
-            width = min(tries, max(1, total // pending.size))
-            pending = try_steps(pending, width, rows, jtj, -grad, done)
-            tries *= 2
-        if done.any():
-            finished = ids[done]
-            final_w[finished], final_sse[finished] = w[done], sse[done]
-            iterations[finished] = it
-            keep = ~done
-            ids, w, r, h = ids[keep], w[keep], r[keep], h[keep]
-            sse, lam = sse[keep], lam[keep]
-            if not ids.size:
-                break
-    final_w[ids], final_sse[ids] = w, sse
+            fail(new[broken][0], "non-finite normal equations")
+        live[new[flat | broken]] = False
+        live &= lam <= _LAMBDA_MAX  # no damping up to the ceiling helped
+        act = np.flatnonzero(live)
+        if not act.size:
+            break
+        trial(act)
     if failure is not None:
         raise NumericalFailure(failure[1])
 
-    fits = [LMFit(*_unpack(final_w[i], m, n),
-                  mse=float(final_sse[i] / n_samples),
+    fits = [LMFit(*_unpack(w[i], m, n), mse=float(sse[i] / n_samples),
                   history=tuple(history[i]), iterations=int(iterations[i]))
             for i in range(total)]
     bounds = np.cumsum([0] + [len(group) for group in seeds]).tolist()
@@ -424,11 +412,12 @@ def cross_validate(samples: Sequence[TrainingSample],
                    selected_features: Sequence[str], m: int,
                    config: SearchConfig,
                    seed: np.random.SeedSequence | None = None) -> float:
-    """Mean held-out MSE over the k folds of `config`.
+    """Mean held-out MSE over the k folds of `config`; inf if it overflows.
 
     The folds depend on the samples and `config` alone, so every structure
     of a search is validated on the same split. Normalization statistics
-    are recomputed from each training portion, never from the held-out fold.
+    are recomputed from each training portion, never from the held-out fold;
+    a feature they cannot z-score raises NumericalFailure.
     """
     folds = make_folds(
         len(samples), config.folds, derived_seed(config.rng_seed, _NS_FOLDS),
@@ -438,12 +427,12 @@ def cross_validate(samples: Sequence[TrainingSample],
     if seed is None:
         seed = derived_seed(config.rng_seed, _NS_COMBO, 0)
     fold_seeds = _children(seed, len(folds))
-    norms, xs, ys = [], [], []
+    x_vals, xs, ys = [], [], []
     for val_idx in folds:
         train_idx = np.setdiff1d(np.arange(len(samples)), val_idx)
-        mean, std = fit_normalization(x_raw[train_idx])
-        norms.append((mean, std))
-        xs.append((x_raw[train_idx] - mean) / std)
+        z = _normalize(x_raw, train_idx, selected_features)[2]
+        x_vals.append(z[val_idx])
+        xs.append(z[train_idx])
         ys.append(y[train_idx])
     # One LM batch per training-set size fits every fold x restart problem.
     fits = [None] * len(folds)
@@ -456,9 +445,10 @@ def cross_validate(samples: Sequence[TrainingSample],
         for i, restarts in zip(group, batch):
             fits[i] = min(restarts, key=lambda fit: fit.mse)
     errors = []
-    for val_idx, (mean, std), fit in zip(folds, norms, fits):
-        pred = forward(fit.hidden, fit.output, (x_raw[val_idx] - mean) / std)
-        errors.append(float(np.mean((pred - y[val_idx]) ** 2)))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow gives inf
+        for val_idx, x_val, fit in zip(folds, x_vals, fits):
+            pred = forward(fit.hidden, fit.output, x_val)
+            errors.append(float(np.mean((pred - y[val_idx]) ** 2)))
     return float(np.mean(errors))
 
 
@@ -507,7 +497,8 @@ def exhaustive_search(samples: Sequence[TrainingSample],
     """Evaluate every admissible structure by CV; retrain the winner on all data.
 
     Up to `workers` processes share the structures; the result is the same
-    for any count.
+    for any count. A best CV error or a final training error that is not
+    finite raises NumericalFailure.
     """
     if workers < 1:
         raise ConfigError("need at least one worker")
@@ -534,10 +525,16 @@ def exhaustive_search(samples: Sequence[TrainingSample],
         for i in order
     )
     best = ranking[0]
+    if not math.isfinite(best.cv_error):
+        raise NumericalFailure(
+            f"the best cross-validation error is {best.cv_error}, not a finite number")
     x_raw, y = design_matrix(samples, best.features)
-    mean, std = fit_normalization(x_raw)
-    fit = train_lm((x_raw - mean) / std, y, best.hidden_nodes, config.lm,
+    mean, std, x = _normalize(x_raw, slice(None), best.features)
+    fit = train_lm(x, y, best.hidden_nodes, config.lm,
                    seed=derived_seed(config.rng_seed, _NS_FINAL))
+    if not math.isfinite(fit.mse):
+        raise NumericalFailure(
+            f"the training error is {fit.mse}, not a finite number")
     model = QualityModel(
         selected_features=best.features,
         norm_mean=mean,

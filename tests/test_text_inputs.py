@@ -285,6 +285,35 @@ class TestCli:
         assert capsys.readouterr() == (
             "", "jerkmeter: error: bad model field 'meta': NaN and Infinity are not JSON\n")
 
+    @pytest.mark.parametrize("column,dmos,message", [
+        ("rFD", 1.0, "feature rFD is too large to normalize"),
+        (None, 1e300, "the best cross-validation error is inf, not a finite number"),
+    ], ids=["feature", "dmos"])
+    def test_train_table_beyond_the_float_range(self, tmp_path, column, dmos, message):
+        # Finite cells whose sums of squares overflow: one error line, exit 2,
+        # no numpy warning.
+        rows = [{name: 0.1 * ((i * (k + 3)) % 7) for k, name in enumerate(FEATURE_NAMES)}
+                for i in range(20)]
+        for i, row in enumerate(rows):
+            row["dmos"] = dmos * (-1) ** i
+            if column:
+                row[column] = 1e308 * (-1) ** i
+        table = tmp_path / "samples.csv"
+        table.write_text("id,source_id,dmos," + ",".join(FEATURE_NAMES) + "\n" + "".join(
+            f"s{i},src{i % 5},{row['dmos']!r},"
+            + ",".join(repr(row[name]) for name in FEATURE_NAMES) + "\n"
+            for i, row in enumerate(rows)))
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")
+            code = run(["train", "--data", str(table), "--out", str(tmp_path / "m.json"),
+                        "--subset-sizes", "1,2", "--hidden", "1", "--folds", "4",
+                        "--lm-max-iters", "10", "--lm-restarts", "1", "--threads", "1"])
+        assert (code, out.getvalue(), err.getvalue()) == (
+            2, "", f"jerkmeter: error: {message}\n")
+        assert not (tmp_path / "m.json").exists()
+
     @pytest.mark.parametrize("schema", ["true", "1.0"])
     def test_model_schema_is_the_json_integer_1(self, clip, tmp_path, capsys, schema):
         path = tmp_path / "model.json"

@@ -46,11 +46,12 @@ from jerkmeter.training import (
 FAST_LM = LMConfig(max_iters=60, restarts=2)
 
 
-def reference_lm(x, y, m, cfg, rng):
+def reference_lm(x, y, m, cfg, rng, trials=None):
     """One LM fit on its own: the serial loop batched LM must reproduce.
 
     Returns the packed weights, MSE, history, iteration count and the
-    rule that stopped the fit.
+    rule that stopped the fit. A given list `trials` gets one entry per
+    damped system solved.
     """
     n_samples, n = x.shape
     p = param_count(m, n)
@@ -86,6 +87,8 @@ def reference_lm(x, y, m, cfg, rng):
         small_step = False
         while lam <= training._LAMBDA_MAX:
             np.add(jtj_diag, lam, out=damped_diag)
+            if trials is not None:
+                trials.append(lam)
             try:
                 delta = np.linalg.solve(jtj, neg_grad)
                 solvable = bool(np.isfinite(delta).all())
@@ -311,7 +314,7 @@ class TestLmBatch:
                                            LMConfig(max_iters=40), seeds)
 
     # Each case is an LMConfig and the module's LM constants to override.
-    @pytest.mark.parametrize("cfg,stop", [
+    STOP_CASES = pytest.mark.parametrize("cfg,stop", [
         ((LMConfig(), {"_TOL_GRAD": 1e3}), "tol_grad"),
         ((LMConfig(max_iters=300), {"_TOL_GRAD": 1e-20, "_TOL_STEP": 1e-20}),
          "lambda"),
@@ -319,7 +322,10 @@ class TestLmBatch:
         ((LMConfig(max_iters=3), {}), "max_iters"),
         ((LMConfig(max_iters=300), {"_TOL_GRAD": 1e-300}), "tol_step"),
     ])
-    def test_matches_serial_whatever_stops_the_fit(self, monkeypatch, cfg, stop):
+
+    @staticmethod
+    def stop_case(monkeypatch, cfg):
+        """The stop-rule problems (xs, ys, seeds) under `cfg`'s constants."""
         cfg, constants = cfg
         for name, value in constants.items():
             monkeypatch.setattr(training, name, value)
@@ -327,12 +333,35 @@ class TestLmBatch:
         xs = [rng.normal(size=(30, 3)) for _ in range(2)]
         ys = [np.tanh(x[:, 0] - 0.5 * x[:, 1]) for x in xs]
         seeds = [training._children(derived_seed(2, i), 3) for i in range(2)]
+        return cfg, xs, ys, seeds
+
+    @STOP_CASES
+    def test_matches_serial_whatever_stops_the_fit(self, monkeypatch, cfg, stop):
+        cfg, xs, ys, seeds = self.stop_case(monkeypatch, cfg)
         stops = assert_batch_matches_reference(xs, ys, 1, cfg, seeds)
         assert stop in stops
         if training._TOL_GRAD > 1.0:
             assert set(stops) == {"tol_grad"}
             fit = training._lm_batch(xs, ys, 1, cfg, seeds)[0][0]
             assert fit.iterations == 1 and len(fit.history) == 1
+
+    @STOP_CASES
+    def test_solves_as_many_systems_as_serial(self, monkeypatch, cfg, stop):
+        # One damped trial per problem per round: no system is solved that
+        # the serial loop would not solve.
+        cfg, xs, ys, seeds = self.stop_case(monkeypatch, cfg)
+        rows, solve = [], training._solve
+        monkeypatch.setattr(training, "_solve",
+                            lambda a, b: rows.append(len(b)) or solve(a, b))
+        training._lm_batch(xs, ys, 1, cfg, seeds)
+        trials = [[] for group in seeds for _ in group]
+        problems = [(x, y, seed) for x, y, group in zip(xs, ys, seeds)
+                    for seed in group]
+        for (x, y, seed), tried in zip(problems, trials):
+            reference_lm(x, y, 1, cfg, np.random.default_rng(seed), tried)
+        assert sum(rows) == sum(len(tried) for tried in trials)
+        # A round per trial of the problem that tries most.
+        assert len(rows) == max(len(tried) for tried in trials)
 
     def test_problem_alone_equals_problem_in_a_batch_of_50(self):
         rng = np.random.default_rng(12)
@@ -565,6 +594,19 @@ class TestExhaustiveSearch:
         assert save_model(first.model) == save_model(second.model)
         errors = [e.cv_error for e in first.ranking]
         assert errors == sorted(errors)
+
+    def test_final_fit_beyond_the_float_range_is_a_numerical_failure(
+            self, rng, monkeypatch):
+        # The CV errors are finite; only the retrain on every row overflows.
+        samples = make_samples(rng, 14, lambda f: f["NumFz"])
+        cfg = SearchConfig(hidden_range=(1,), subset_sizes=(1,), folds=2,
+                           lm=LMConfig(max_iters=5, restarts=1))
+        fit = train_lm(np.zeros((3, 1)), np.zeros(3), 1, cfg.lm)
+        monkeypatch.setattr(training, "train_lm", lambda *args, **kwargs:
+                            LMFit(fit.hidden, fit.output, math.inf, (), 0))
+        with pytest.raises(NumericalFailure,
+                           match="^the training error is inf, not a finite number$"):
+            exhaustive_search(samples, cfg)
 
     def test_golden_bytes(self):
         """A fixed search's model and ranking bytes, pinned for LM rewrites.
