@@ -26,7 +26,7 @@ import math
 import os
 import sys
 from dataclasses import asdict
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -57,95 +57,67 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _expects(form: str):
-    """Make a flag value parser's ValueError a usage error naming ``form``."""
-    def wrap(parse):
-        def convert(text: str):
-            try:
-                return parse(text)
-            except ValueError:
-                raise argparse.ArgumentTypeError(
-                    f"invalid value {text!r}, expected {form}") from None
-        return convert
-    return wrap
-
-
-def _at_least(text: str, low: int = 1) -> int:
-    value = int(text)
-    if value < low:
-        raise ValueError(f"{value} is below {low}")
-    return value
+def _flag(form: str, parse, holds=lambda value: True):
+    """A flag value parser: ``parse(text)`` if ``holds`` is true of it, else
+    a usage error naming ``form``."""
+    def convert(text: str):
+        try:
+            value = parse(text)
+        except ValueError:
+            pass
+        else:
+            if holds(value):
+                return value
+        raise argparse.ArgumentTypeError(f"invalid value {text!r}, expected {form}")
+    return convert
 
 
 def _size(text: str) -> tuple[int, int]:
-    w, h = text.lower().split("x")
-    return _at_least(w), _at_least(h)
+    width, height = text.lower().split("x")
+    return int(width), int(height)
 
 
-@_expects("WxH, both even and at least 2")
-def _parse_even_size(text: str) -> tuple[int, int]:
-    """A size ``synth`` can write: its ramp needs width 2, its 4:2:0 even sides."""
-    width, height = _size(text)
-    if width % 2 or height % 2:
-        raise ValueError(text)
-    return width, height
-
-
-@_expects("N or N:D, both at least 1")
-def _parse_fps(text: str) -> tuple[int, int]:
+def _fps(text: str) -> tuple[int, int]:
     num, sep, den = text.partition(":")
-    return _at_least(num), _at_least(den) if sep else 1
+    return int(num), int(den) if sep else 1
 
 
-@_expects("comma-separated START:DURATION pairs")
-def _parse_events(text: str) -> list[tuple[int, int]]:
-    events = []
-    for part in filter(str.strip, text.split(",")):
-        start, duration = part.split(":")
-        events.append((int(start), int(duration)))
-    if not events:
-        raise ValueError("no events")
-    return events
+def _events(text: str) -> list[tuple[int, int]]:
+    pairs = [part.split(":") for part in filter(str.strip, text.split(","))]
+    return [(int(start), int(duration)) for start, duration in pairs]
 
 
-@_expects("comma-separated integers")
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(p) for p in text.split(",") if p.strip())
+def _ints(text: str) -> tuple[int, ...]:
+    return tuple(int(part) for part in text.split(",") if part.strip())
 
 
-_parse_size = _expects("WxH, both at least 1")(_size)
-_parse_count = _expects("an integer of at least 1")(_at_least)
-_parse_seed = _expects("an integer of at least 0")(lambda text: _at_least(text, 0))
-_parse_int = _expects("an integer")(int)
-_parse_finite = _expects("a finite number")(_finite_float)
-
-
-def _bounded(form: str, holds):
-    """A flag value parser of finite numbers for which ``holds`` is true."""
-    @_expects(form)
-    def parse(text: str) -> float:
-        value = _finite_float(text)
-        if not holds(value):
-            raise ValueError(text)
-        return value
-    return parse
-
-
-_parse_density = _bounded("a number from 0 to 1", lambda value: 0.0 <= value <= 1.0)
-_parse_positive = _bounded("a positive finite number", lambda value: value > 0.0)
+# A size ``synth`` can write: its ramp needs width 2, its 4:2:0 even sides.
+_parse_even_size = _flag("WxH, both even and at least 2", _size,
+                         lambda size: all(side > 0 and side % 2 == 0 for side in size))
+_parse_size = _flag("WxH, both at least 1", _size, lambda size: min(size) >= 1)
+_parse_fps = _flag("N or N:D, both at least 1", _fps, lambda fps: min(fps) >= 1)
+_parse_events = _flag("comma-separated START:DURATION pairs", _events, bool)
+_parse_int_list = _flag("comma-separated integers", _ints)
+_parse_count = _flag("an integer of at least 1", int, lambda value: value >= 1)
+_parse_seed = _flag("an integer of at least 0", int, lambda value: value >= 0)
+_parse_int = _flag("an integer", int)
+_parse_finite = _flag("a finite number", _finite_float)
+_parse_density = _flag("a number from 0 to 1", _finite_float,
+                       lambda value: 0.0 <= value <= 1.0)
+_parse_positive = _flag("a positive finite number", _finite_float, lambda value: value > 0.0)
 
 
 @contextlib.contextmanager
-def _open_video(path: str, args) -> Iterator[Y4MReader]:
+def _open_video(args) -> Iterator[Y4MReader]:
     """Stream the input clip: Y4M by extension, else raw YUV per --size."""
     header = None
-    if not path.lower().endswith(".y4m"):
+    if not args.input.lower().endswith(".y4m"):
         if args.size is None:
             raise ConfigError("raw YUV input requires --size WxH")
         (width, height), (fps_num, fps_den) = args.size, args.fps
         header = VideoHeader(width=width, height=height, fps_num=fps_num,
                              fps_den=fps_den, chroma=ChromaFormat(args.chroma))
-    with open(path, "rb") as handle:
+    with open(args.input, "rb") as handle:
         yield Y4MReader(handle, header)
 
 
@@ -155,7 +127,7 @@ def _detector_config(args) -> DetectorConfig:
 
 def _analyze_input(args):
     """Analyze the input clip on the CPUs this process may run on."""
-    with _open_video(args.input, args) as reader:
+    with _open_video(args) as reader:
         return analyze(reader, config=_detector_config(args))
 
 
@@ -219,7 +191,7 @@ def _emit(args, doc: dict, human) -> None:
 
 # --- subcommand bodies ----------------------------------------------------
 
-def _cmd_synth(args) -> int:
+def _cmd_synth(args) -> tuple[dict, Callable]:
     width, height = args.size
     seq = gradient_video(
         frame_count=args.frames, width=width, height=height,
@@ -228,15 +200,14 @@ def _cmd_synth(args) -> int:
     )
     with open(args.out, "wb") as handle:
         write_y4m(seq, handle)
-    _emit(args, {"out": args.out, "frames": seq.frame_count,
-                 "width": width, "height": height},
-          lambda d: print(f"wrote {d['frames']} frames to {d['out']}"))
-    return 0
+    return ({"out": args.out, "frames": seq.frame_count,
+             "width": width, "height": height},
+            lambda d: print(f"wrote {d['frames']} frames to {d['out']}"))
 
 
-def _cmd_degrade(args) -> int:
+def _cmd_degrade(args) -> tuple[dict, Callable]:
     plan = FreezePlan(kind=FreezeKind(args.kind), events=args.events)
-    with _open_video(args.input, args) as reader:
+    with _open_video(args) as reader:
         seq = VideoSequence.from_reader(reader)
     degraded, truth = inject(seq, plan)
     frames = degraded.frames
@@ -250,15 +221,14 @@ def _cmd_degrade(args) -> int:
         with open(args.truth, "w", encoding="utf-8") as handle:
             json.dump(truth_doc, handle, indent=2, allow_nan=False)
             handle.write("\n")
-    _emit(args, {"out": args.out, "truth": args.truth, "kind": args.kind,
-                 "events": truth_doc["events"]},
-          lambda d: print(f"wrote {d['out']} with {len(d['events'])} "
-                          f"{d['kind']}-type freeze events"))
-    return 0
+    return ({"out": args.out, "truth": args.truth, "kind": args.kind,
+             "events": truth_doc["events"]},
+            lambda d: print(f"wrote {d['out']} with {len(d['events'])} "
+                            f"{d['kind']}-type freeze events"))
 
 
-def _cmd_fd(args) -> int:
-    with _open_video(args.input, args) as reader:
+def _cmd_fd(args) -> tuple[dict, Callable]:
+    with _open_video(args) as reader:
         series = compute_series(reader)
     doc = {
         "frame_count": series.frame_count,
@@ -273,11 +243,10 @@ def _cmd_fd(args) -> int:
         print(f"fd mean: {values.mean():.4f}  max: {values.max():.4f}")
         print(f"scene cuts: {d['scene_cuts']}")
 
-    _emit(args, doc, human)
-    return 0
+    return doc, human
 
 
-def _cmd_detect(args) -> int:
+def _cmd_detect(args) -> tuple[dict, Callable]:
     timeline = _analyze_input(args).timeline
     doc = {"threshold": timeline.threshold, **_timeline_doc(timeline)}
     if args.truth:
@@ -297,11 +266,10 @@ def _cmd_detect(args) -> int:
             print(f"detection rate: {r['detection_rate']:.4f}  "
                   f"false alarm rate: {r['false_alarm_rate']:.4f}")
 
-    _emit(args, doc, human)
-    return 0
+    return doc, human
 
 
-def _cmd_features(args) -> int:
+def _cmd_features(args) -> tuple[dict, Callable]:
     result = _analyze_input(args)
     doc = {**asdict(result.features), "frame_count": result.timeline.frame_count,
            "fps": result.timeline.fps}
@@ -310,11 +278,10 @@ def _cmd_features(args) -> int:
         for name in FEATURE_NAMES:
             print(f"{name:>10}: {d[name]:.6f}")
 
-    _emit(args, doc, human)
-    return 0
+    return doc, human
 
 
-def _cmd_score(args) -> int:
+def _cmd_score(args) -> tuple[dict, Callable]:
     model = _load_model_arg(args)
     result = _analyze_input(args)
     doc = {
@@ -328,11 +295,10 @@ def _cmd_score(args) -> int:
         print(f"predicted dmos: {d['dmos_pred']:.4f}{tag}")
         print(f"freeze events: {len(d['events'])}")
 
-    _emit(args, doc, human)
-    return 0
+    return doc, human
 
 
-def _cmd_train(args) -> int:
+def _cmd_train(args) -> tuple[dict, Callable]:
     lm = LMConfig(max_iters=args.lm_max_iters, restarts=args.lm_restarts)
     config = SearchConfig(
         hidden_range=args.hidden,
@@ -364,11 +330,10 @@ def _cmd_train(args) -> int:
               f"hidden nodes (cv mse {b['cv_error']:.6f})")
         print(f"model written to {d['out']}")
 
-    _emit(args, doc, human)
-    return 0
+    return doc, human
 
 
-def _cmd_eval(args) -> int:
+def _cmd_eval(args) -> tuple[dict, Callable]:
     model = _load_model_arg(args)
     samples = load_samples_csv(args.data, detector_config=_detector_config(args))
     preds = [score_features(sample.features, model).dmos_pred for sample in samples]
@@ -383,8 +348,7 @@ def _cmd_eval(args) -> int:
             print("note: model normalization is a placeholder; "
                   "scores are uncalibrated", file=sys.stderr)
 
-    _emit(args, doc, human)
-    return 0
+    return doc, human
 
 
 # --- parser construction --------------------------------------------------
@@ -399,6 +363,7 @@ def _build_parser() -> _Parser:
                         help="seed for every random choice (default 0)")
 
     raw_input = _Parser(add_help=False)
+    raw_input.add_argument("input")
     raw_input.add_argument("--size", type=_parse_size, default=None,
                            help="WxH, required for raw YUV input")
     raw_input.add_argument("--fps", type=_parse_fps, default="25:1",
@@ -434,7 +399,6 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("degrade", parents=[common, seeded, raw_input],
                        help="inject freeze events")
-    p.add_argument("input")
     p.add_argument("--kind", choices=[k.value for k in FreezeKind], required=True)
     p.add_argument("--events", type=_parse_events, required=True,
                    help="comma-separated start:duration pairs")
@@ -447,24 +411,20 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("fd", parents=[common, raw_input],
                        help="frame-difference series")
-    p.add_argument("input")
     p.set_defaults(func=_cmd_fd)
 
     p = sub.add_parser("detect", parents=[common, raw_input, detector],
                        help="freeze events")
-    p.add_argument("input")
     p.add_argument("--truth", default=None,
                    help="score against this ground-truth timeline JSON")
     p.set_defaults(func=_cmd_detect)
 
     p = sub.add_parser("features", parents=[common, raw_input, detector],
                        help=f"the {len(FEATURE_NAMES)} features")
-    p.add_argument("input")
     p.set_defaults(func=_cmd_features)
 
     p = sub.add_parser("score", parents=[common, raw_input, detector],
                        help="predicted DMOS (higher = worse)")
-    p.add_argument("input")
     p.add_argument("--model", default=None,
                    help="model JSON (bundled default if omitted)")
     p.set_defaults(func=_cmd_score)
@@ -507,7 +467,8 @@ def run(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        _emit(args, *args.func(args))
+        return 0
     except SystemExit as exc:  # argparse's --help, usage errors
         _flushed()
         code = exc.code

@@ -173,8 +173,9 @@ def _split_values(source: Y4MReader) -> np.ndarray | None:
     """Differences of ``source``'s remaining frames walked from its mapping
     in about four chunks per CPU, claimed one at a time by one process per
     CPU, each sharing its last frame with the next one's first; None, with
-    ``source`` unread, if the file does not map or a marker is not a bare
-    ``FRAME``, so that a malformed file raises the serial error.
+    ``source`` unread, if the file does not map or a walk meets a marker
+    that is not a bare ``FRAME``, which stops every process from claiming
+    another chunk, so that a malformed file raises the serial error.
     """
     mapped = source._mapped(_SPLIT_BYTES, _BLOCK_BYTES)
     if mapped is None:
@@ -184,16 +185,15 @@ def _split_values(source: Y4MReader) -> np.ndarray | None:
     parts = min(_CHUNKS_PER_CPU * cpus, frames // 2)
     bounds = [k * frames // parts for k in range(parts)] + [frames - 1]
 
-    def slice_values(k):  # a walk ends in None at a marker that is not bare
-        diffs = [rows if rows is None else _fd_pairs(rows[:-1], rows[1:])
-                 for rows in walk(bounds[k], bounds[k + 1])]
-        return None if diffs[-1] is None else np.concatenate(diffs)
+    def slice_values(k):
+        return np.concatenate([_fd_pairs(rows[:-1], rows[1:])
+                               for rows in walk(bounds[k], bounds[k + 1])])
 
     try:
         values = _claimed_map(slice_values, parts, cpus)
-    except JerkmeterError:  # a child died before reporting
+    except JerkmeterError:  # a bad marker, or a child died before reporting
         return None
-    return None if any(v is None for v in values) else np.concatenate(values)
+    return np.concatenate(values)
 
 
 def compute_series(source: Iterable[LumaFrame] | Y4MReader) -> FrameDiffSeries:

@@ -498,7 +498,8 @@ def exhaustive_search(samples: Sequence[TrainingSample],
 
     Up to `workers` processes share the structures; the result is the same
     for any count. A best CV error or a final training error that is not
-    finite raises NumericalFailure.
+    finite raises NumericalFailure, and so, before any structure is fitted,
+    does a DMOS value whose squared deviation from the mean DMOS is not.
     """
     if workers < 1:
         raise ConfigError("need at least one worker")
@@ -509,6 +510,11 @@ def exhaustive_search(samples: Sequence[TrainingSample],
     if not combos:
         raise ConfigError("no (features, hidden nodes) combination passes "
                           "the capacity bound")
+    y = np.array([sample.dmos for sample in samples])
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.isfinite(np.square(y - y.mean())).all():
+            raise NumericalFailure("the DMOS values are too large to fit: a squared "
+                                   "deviation from their mean is not finite")
 
     def evaluate(i):
         subset, m = combos[i]

@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import (
     ParseError,
+    ShapeError,
     TrailingBytes,
     TruncatedFrame,
     UnsupportedFormat,
@@ -142,6 +143,12 @@ class VideoSequence:
     def __post_init__(self):
         if len(self.chroma) != len(self.frames):
             raise ValueError("chroma list must be parallel to frames")
+        h = self.header
+        for i, (frame, chroma) in enumerate(zip(self.frames, self.chroma)):
+            if (frame.width, frame.height, len(chroma)) != (h.width, h.height, h.chroma_size):
+                raise ShapeError(
+                    f"frame {i} is {frame.width}x{frame.height} with {len(chroma)} chroma "
+                    f"bytes; the header says {h.width}x{h.height} with {h.chroma_size}")
 
     @classmethod
     def from_luma(cls, header: VideoHeader, frames: list[LumaFrame]) -> "VideoSequence":
@@ -409,8 +416,8 @@ class Y4MReader:
         of the records that fit in ``max_bytes`` plus the block before's
         last frame. It releases the whole pages behind each block after it,
         and once done those up to the end of frame ``last``.
-        It checks each block's markers first, and yields None and stops at
-        one that is not a bare ``FRAME``: a longer marker would change the
+        It checks each block's markers first, and raises ParseError at the
+        first that is not a bare ``FRAME``: a longer marker would change the
         file's size, so bare ones make the records those the reads give.
         """
         try:
@@ -428,13 +435,13 @@ class Y4MReader:
         records = np.ndarray((frames, record), np.uint8, mapping, offset)
         step, page = max(1, max_bytes // record), mmap.PAGESIZE
 
-        def walk(first: int, last: int) -> Iterator[np.ndarray | None]:
+        def walk(first: int, last: int) -> Iterator[np.ndarray]:
             released = (offset + first * record) // page * page
             for start in range(first, last, step):
                 block = records[start:min(start + step, last) + 1]
-                if marker and not (block[:, :marker] == _MARKER_BYTES).all():
-                    yield None
-                    return
+                if marker and (bad := (block[:, :marker] != _MARKER_BYTES).any(axis=1)).any():
+                    raise ParseError(offset + (start + int(bad.argmax())) * record,
+                                     "expected a bare FRAME marker")
                 yield block[:, marker:marker + self.header.luma_size]
                 end = start + len(block) - 1  # the next block's first frame, if any
                 behind = (offset + (end + (end == last)) * record) // page * page

@@ -463,6 +463,18 @@ class TestExitCodes:
          "hidden_range must list counts >= 1"),
         (["train", "--data", "OUT", "--out", "OUT", "--cap", "0"],
          "sample_count_cap must be positive"),
+        (["degrade", "CLIP", "--kind", "loss", "--events", "5:2:1", "--out", "OUT"],
+         "--events: invalid value '5:2:1', expected comma-separated START:DURATION pairs"),
+        (["degrade", "CLIP", "--kind", "loss", "--events", ",", "--out", "OUT"],
+         "--events: invalid value ',', expected comma-separated START:DURATION pairs"),
+        (["degrade", "CLIP", "--kind", "loss", "--events", "5", "--out", "OUT"],
+         "--events: invalid value '5', expected comma-separated START:DURATION pairs"),
+        (["score", "CLIP", "--fps", "25:"],
+         "--fps: invalid value '25:', expected N or N:D, both at least 1"),
+        (["fd", "CLIP", "--size", "4x4x4"],
+         "--size: invalid value '4x4x4', expected WxH, both at least 1"),
+        (["train", "--data", "OUT", "--out", "OUT", "--subset-sizes", "a,b"],
+         "--subset-sizes: invalid value 'a,b', expected comma-separated integers"),
     ])
     def test_bad_flag_value_names_the_expected_form(self, clip, tmp_path, capsys,
                                                      argv, form):
@@ -473,6 +485,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert form in err
         assert "_parse_" not in err and "_finite" not in err
+
+    def test_size_reads_either_case_of_x(self, tmp_path, capsys):
+        out = tmp_path / "clip.y4m"
+        assert run(["synth", "--frames", "2", "--size", "4X6", "--out", str(out)]) == 0
+        with open(out, "rb") as handle:
+            header = Y4MReader(handle).header
+        assert (header.width, header.height) == (4, 6)
+
+    def test_empty_list_items_are_skipped(self):
+        args = cli._build_parser().parse_args(
+            ["train", "--data", "t.csv", "--out", "m.json", "--subset-sizes", "1,,2"])
+        assert args.subset_sizes == (1, 2)
 
     @pytest.mark.parametrize("flag", ["--epsilon-abs", "--rel-factor"])
     def test_negative_detector_setting_is_usage_error(self, clip, capsys, flag):

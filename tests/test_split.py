@@ -474,6 +474,25 @@ class TestProcessHygiene:
         assert outcome(path, 1) == error
         assert calls == [1]
 
+    # Four chunks of frames 0-10, 10-20, 20-30 and 30-39: a walk raises at
+    # the first bad marker of its block, before any pair of that block is
+    # differenced, and no later chunk is claimed before the serial read.
+    @pytest.mark.parametrize("index,pairs", [(1, 0), (20, 10)])
+    def test_a_bad_marker_stops_the_walk(self, rng, tmp_path, split, no_fork,
+                                         monkeypatch, index, pairs):
+        split(1)
+        path = tmp_path / "clip.y4m"
+        path.write_bytes(with_marker(y4m_bytes(clip(rng, 40)), index, b"FRAMX\n"))
+        serial = buffered(path)
+        assert serial[0] is ParseError
+        seen, fd, series = [], frame_analysis._fd_pairs, frame_analysis._series_values
+        monkeypatch.setattr(frame_analysis, "_fd_pairs",
+                            lambda a, b: seen.append(len(a)) or fd(a, b))
+        monkeypatch.setattr(frame_analysis, "_series_values",
+                            lambda source: seen.append("serial") or series(source))
+        assert outcome(path, 1) == serial
+        assert sum(seen[:seen.index("serial")]) == pairs
+
 
 class TestMappedMemory:
     # A walk of 3-record blocks over a 40-frame clip, from frame 0, from a

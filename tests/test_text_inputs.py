@@ -287,7 +287,8 @@ class TestCli:
 
     @pytest.mark.parametrize("column,dmos,message", [
         ("rFD", 1.0, "feature rFD is too large to normalize"),
-        (None, 1e300, "the best cross-validation error is inf, not a finite number"),
+        (None, 1e300, "the DMOS values are too large to fit: a squared deviation "
+                      "from their mean is not finite"),
     ], ids=["feature", "dmos"])
     def test_train_table_beyond_the_float_range(self, tmp_path, column, dmos, message):
         # Finite cells whose sums of squares overflow: one error line, exit 2,

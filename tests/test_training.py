@@ -6,6 +6,7 @@ import signal
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -607,6 +608,23 @@ class TestExhaustiveSearch:
         with pytest.raises(NumericalFailure,
                            match="^the training error is inf, not a finite number$"):
             exhaustive_search(samples, cfg)
+
+    def test_dmos_beyond_the_float_range_is_refused_before_the_search(
+            self, rng, monkeypatch):
+        # DMOS of +-1e300: every squared error about the mean overflows, so
+        # no structure is fitted.
+        samples = [TrainingSample(features=s.features, dmos=1e300 * (-1) ** i)
+                   for i, s in enumerate(make_samples(rng, 20, lambda f: f["NumFz"]))]
+        cfg = SearchConfig(hidden_range=(1,), subset_sizes=(1,), folds=4,
+                           lm=LMConfig(max_iters=5, restarts=1))
+        calls, real = [], training.cross_validate
+        monkeypatch.setattr(training, "cross_validate",
+                            lambda *args, **kw: calls.append(args) or real(*args, **kw))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalFailure, match="^the DMOS values are too large"):
+                exhaustive_search(samples, cfg)
+        assert calls == []
 
     def test_golden_bytes(self):
         """A fixed search's model and ranking bytes, pinned for LM rewrites.

@@ -13,6 +13,7 @@ from jerkmeter import (
     JerkmeterError,
     LumaFrame,
     ParseError,
+    ShapeError,
     TooFewFrames,
     TrailingBytes,
     TruncatedFrame,
@@ -502,6 +503,19 @@ class TestVideoSequence:
         with pytest.raises(ValueError):
             VideoSequence(header=header, frames=random_frames(rng, 2, 4, 2),
                           chroma=[b""])
+
+    def test_frames_must_match_the_header(self, rng):
+        # Five 4x4 frames under an 8x6 header would write a file that its
+        # own reader refuses.
+        header = VideoHeader(width=8, height=6, fps_num=25, fps_den=1)
+        with pytest.raises(ShapeError, match="^frame 0 is 4x4 with 24 chroma bytes; "
+                                             "the header says 8x6 with 24$"):
+            VideoSequence.from_luma(header, random_frames(rng, 5, 4, 4))
+        chroma = [b"\x80" * 24] * 2 + [b"\x80" * 23]
+        with pytest.raises(ShapeError, match="^frame 2 is 8x6 with 23 chroma bytes"):
+            VideoSequence(header, random_frames(rng, 3, 8, 6), chroma)
+        seq = VideoSequence(header, random_frames(rng, 4, 8, 6), chroma[:2] * 2)
+        assert seq.frame_count == 4
 
     def test_iterates_luma_frames(self, rng):
         seq = make_sequence(rng, count=3)
