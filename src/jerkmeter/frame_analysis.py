@@ -153,8 +153,7 @@ def _series_values(source: Iterable[LumaFrame] | Y4MReader) -> np.ndarray:
     if first is None:
         return np.empty(0)
     width, height = first.width, first.height
-    last = np.empty((1, width * height), dtype=np.uint8)
-    last.reshape(height, width)[...] = first.samples
+    last = first.samples.reshape(1, -1).copy()
     del first  # ``last`` holds its copy; do not keep the frame alive
     if isinstance(source, Y4MReader):
         blocks = source.luma_blocks(_BLOCK_BYTES)

@@ -2,22 +2,20 @@
 
 The network is small enough (a few dozen weights) that second-order
 least squares is cheap, so weights are fitted with Levenberg-Marquardt
-on an analytic Jacobian. Model structure (which features, how many
-hidden nodes) is chosen by exhaustive enumeration under a capacity
-bound: the weight count M(N+1)+M+1 must stay strictly below the
-training sample count, or the net can memorize the folds.
+on an analytic Jacobian, every fold and restart of a structure in one
+batch. Model structure (which features, how many hidden nodes) is chosen
+by exhaustive enumeration under a capacity bound: the weight count
+M(N+1)+M+1 must stay strictly below `SearchConfig.sample_count_cap`
+(`--cap`, 52 by default), set at or under the training sample count so
+that the net cannot memorize the folds.
 
-Cross-validation fits all folds x restarts of one structure as one
-batch: each round makes one damped trial of every unfinished problem, so
-numpy is called per round rather than per problem. Each fit is bit for
-bit what fitting its problem alone would give.
-
-Everything downstream of the rng seed is deterministic: fold assignment
-is derived from the seed alone and each (subset, M) combination gets its
-own derived seed. Structures are evaluated by up to `workers` processes,
-the calling one and children forked from it, and their errors are
-reduced in enumeration order, so the result does not depend on how many
-processes ran or which one evaluated what.
+Fold assignment is derived from the seed alone and each (subset, M)
+combination gets its own derived seed. Structures are evaluated by up to
+`workers` processes, the calling one and children forked from it, and
+their errors are reduced in enumeration order, so the result does not
+depend on how many processes ran. The same inputs and seed give the same
+bytes on one numpy and BLAS build on one CPU kernel; another kernel
+rounds the batched products and solves differently.
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, NumericalFailure
+from .errors import ConfigError, JerkmeterError, NumericalFailure
 from .features import FEATURE_NAMES, FeatureVector, analyze
 from .pool import _claimed_map
 from .quality_model import QualityModel, forward, sigmoid
@@ -285,17 +283,11 @@ def _lm_batch(xs: Sequence[np.ndarray], ys: Sequence[np.ndarray], m: int,
     grad = np.empty((total, p))
     jtj = np.empty((total, p, p))
     live = np.ones(total, dtype=bool)
-    fresh = live.copy()  # needs the normal equations at its current weights
-    failure: tuple[int, str] | None = None
+    failures: dict[int, str] = {}  # row -> message
     jac = np.ones((max(len(group) for group in seeds), n_samples, p))
 
-    def fail(row, message):
-        nonlocal failure
-        if failure is None or row < failure[0]:
-            failure = (int(row), message)
-
     def trial(act):
-        """One damped trial of each problem in `act` on its stored equations."""
+        """Try each problem in `act` once; return those needing new equations."""
         lam_t = lam[act]
         damped = jtj[act]
         damped.reshape(act.size, p * p)[:, :: p + 1] += lam_t[:, None]
@@ -309,7 +301,7 @@ def _lm_batch(xs: Sequence[np.ndarray], ys: Sequence[np.ndarray], m: int,
         # failure at the ceiling is a genuine numerical breakdown.
         stuck = ~solved & (lam_t >= _LAMBDA_MAX)
         for row, value in zip(act[stuck].tolist(), lam_t[stuck].tolist()):
-            fail(row, f"normal equations singular even at lambda={value:g}")
+            failures[row] = f"normal equations singular even at lambda={value:g}"
         acc = act[better]
         w[acc], r[acc], h[acc], sse[acc] = (
             w_t[better], r_t[better], h_t[better], sse_t[better])
@@ -319,13 +311,11 @@ def _lm_batch(xs: Sequence[np.ndarray], ys: Sequence[np.ndarray], m: int,
                             lam_t * _LAMBDA_UP)
         small = np.sqrt(_sumsq(delta[better])) < _TOL_STEP * (
             np.sqrt(_sumsq(w_t[better])) + _TOL_STEP)
-        live[act[stuck]] = False
         live[acc[small | (iterations[acc] == cfg.max_iters)]] = False
-        fresh[:] = False
-        fresh[acc] = live[acc]
+        return acc[live[acc]]
 
+    new = np.arange(total)
     while True:
-        new = np.flatnonzero(fresh)
         iterations[new] += 1
         for lo, hi, i in _runs(design[new]):
             own = new[lo:hi]
@@ -335,16 +325,16 @@ def _lm_batch(xs: Sequence[np.ndarray], ys: Sequence[np.ndarray], m: int,
             jtj[own] = np.matmul(block_t, block)
         flat = np.abs(grad[new]).max(axis=1) < _TOL_GRAD
         broken = ~flat & ~np.isfinite(jtj[new]).all(axis=(1, 2))
-        if broken.any():
-            fail(new[broken][0], "non-finite normal equations")
+        for row in new[broken].tolist():
+            failures[row] = "non-finite normal equations"
         live[new[flat | broken]] = False
         live &= lam <= _LAMBDA_MAX  # no damping up to the ceiling helped
         act = np.flatnonzero(live)
         if not act.size:
             break
-        trial(act)
-    if failure is not None:
-        raise NumericalFailure(failure[1])
+        new = trial(act)
+    if failures:
+        raise NumericalFailure(failures[min(failures)])
 
     fits = [LMFit(*_unpack(w[i], m, n), mse=float(sse[i] / n_samples),
                   history=tuple(history[i]), iterations=int(iterations[i]))
@@ -576,10 +566,10 @@ def load_samples_csv(path: str | os.PathLike,
                      detector_config=None) -> list[TrainingSample]:
     """Read annotated samples from CSV.
 
-    Each row carries id, source_id, dmos and either a `path` column
-    naming a .y4m clip (features are computed here) or all the feature
-    columns. Relative clip paths resolve against the CSV's directory. The
-    file is UTF-8, with or without a byte-order mark.
+    Each row carries id, source_id, dmos and either a `path` column naming
+    a .y4m clip or all the feature columns. Relative clip paths resolve
+    against the CSV's directory; an unreadable clip raises JerkmeterError
+    naming its row. The file is UTF-8, with or without a byte-order mark.
     """
     base_dir = os.path.dirname(os.fspath(path))
     with open(path, "rb") as handle:
@@ -614,9 +604,12 @@ def load_samples_csv(path: str | os.PathLike,
                 raise ConfigError(
                     f"row {row_num}: only .y4m paths are supported in CSV")
             full = clip if os.path.isabs(clip) else os.path.join(base_dir, clip)
-            with open(full, "rb") as video:
-                features = analyze(Y4MReader(video),
-                                   config=detector_config).features
+            try:
+                with open(full, "rb") as video:
+                    features = analyze(Y4MReader(video),
+                                       config=detector_config).features
+            except (JerkmeterError, OSError) as exc:
+                raise JerkmeterError(f"row {row_num}: {clip}: {exc}") from exc
         else:
             try:
                 features = {name: _finite_float(row[name])

@@ -218,9 +218,8 @@ class Y4MReader:
         self._pos = 0  # stream offset of self._lo
         self._gathered = np.empty((0, 0), dtype=np.uint8)
         self._index = 0
-        self._raw = header is not None
+        self._marker_size = 0 if header is not None else len(_MARKER)
         self.header = header if header is not None else self._parse_header()
-        self._marker_size = 0 if self._raw else len(_MARKER)
         self._record = self._marker_size + self.header.frame_size
 
     def _fill(self, n: int) -> int:
@@ -321,7 +320,7 @@ class Y4MReader:
             available = self._fill(count * record)
         whole = min(count, available // record)
         records = self._buf[self._lo:self._lo + whole * record].reshape(whole, record)
-        if not self._raw:
+        if self._marker_size:
             # Check markers in runs growing 8-fold and stop at the first bad
             # one, so a run costs in proportion to its own length.
             checked, run = 0, 8
@@ -342,17 +341,17 @@ class Y4MReader:
         This is the path for any marker other than a bare ``FRAME`` and for
         a short tail; it reports where and why the stream is malformed.
         """
-        if not self._raw:
+        if self._marker_size:
             start = self._pos
             marker = self._read_line("frame marker")
             if marker is None:
                 return None
             if marker.split(b" ", 1)[0] != b"FRAME":
                 raise ParseError(start, f"expected FRAME marker, got {marker[:16]!r}")
-        size = self._record - self._marker_size
+        size = self.header.frame_size
         available = self._fill(size)
         if available < size:
-            if not self._raw:
+            if self._marker_size:
                 raise TruncatedFrame(self._index)
             if available:
                 raise TrailingBytes(available)

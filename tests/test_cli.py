@@ -627,6 +627,23 @@ class TestTrainEval:
                     str(tmp_path / "m.json"), flag, value]) == 1
         assert capsys.readouterr().err == f"jerkmeter: error: {message}\n"
 
+    @pytest.mark.parametrize("clip,reason", [
+        ("junk.y4m", "parse error at byte 4: unterminated header line"),
+        ("missing.y4m", "[Errno 2] No such file or directory: "),
+    ], ids=["junk", "missing"])
+    def test_unreadable_clip_names_its_row(self, tmp_path, capsys, rng, clip,
+                                           reason):
+        (tmp_path / "good.y4m").write_bytes(y4m_bytes(make_sequence(rng)))
+        (tmp_path / "junk.y4m").write_bytes(b"junk")
+        csv_path = tmp_path / "t.csv"
+        csv_path.write_text("id,source_id,dmos,path\n"
+                            f"a,s,1,good.y4m\nb,s,2,{clip}\n")
+        capsys.readouterr()
+        assert run(["eval", "--data", str(csv_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"jerkmeter: error: row 3: {clip}: {reason}")
+        assert err.count("\n") == 1
+
     def test_missing_csv_column_is_usage_error(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("id,dmos\nx,1\n")

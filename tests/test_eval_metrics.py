@@ -134,6 +134,11 @@ class TestRrmse:
         with pytest.raises(DegenerateInput):
             rrmse([1.0, 2.0], [3.0, 3.0])
 
+    def test_empty(self):
+        with pytest.raises(DegenerateInput) as exc:
+            rrmse([], [])
+        assert str(exc.value) == "need at least 1 point"
+
 
 class TestEvaluate:
     def test_report_fields(self, rng):

@@ -44,6 +44,8 @@ from jerkmeter.training import (
     param_count,
 )
 
+from conftest import make_sequence, y4m_bytes
+
 FAST_LM = LMConfig(max_iters=60, restarts=2)
 
 
@@ -190,6 +192,11 @@ class TestConfigs:
 
 
 class TestTrainLm:
+    def test_needs_a_hidden_node(self, rng):
+        with pytest.raises(ConfigError) as exc:
+            train_lm(rng.normal(size=(6, 2)), rng.normal(size=6), m=0)
+        assert str(exc.value) == "need at least one hidden node"
+
     def test_constant_targets_reach_zero_mse(self, rng):
         x = rng.normal(size=(20, 2))
         y = np.full(20, 3.7)
@@ -444,6 +451,11 @@ class TestFolds:
                 members = [i for i, gg in enumerate(groups) if gg == g]
                 assert all(i in fold for i in members)
 
+    def test_grouped_needs_one_label_per_sample(self):
+        with pytest.raises(ConfigError) as exc:
+            make_folds(4, 2, derived_seed(0, 0), groups=["a"])
+        assert str(exc.value) == "need one group label per sample"
+
     def test_grouped_needs_enough_groups(self):
         with pytest.raises(ConfigError):
             make_folds(10, 5, derived_seed(0, 0), groups=["a", "b"] * 5)
@@ -573,6 +585,14 @@ class TestExhaustiveSearch:
                            sample_count_cap=10, lm=FAST_LM)
         with pytest.raises(ConfigError):
             exhaustive_search(samples, cfg)
+
+    def test_samples_must_fill_the_folds(self, rng):
+        samples = make_samples(rng, 5, lambda f: 1.0)
+        cfg = SearchConfig(hidden_range=(1,), subset_sizes=(1,), folds=10,
+                           lm=FAST_LM)
+        with pytest.raises(ConfigError) as exc:
+            exhaustive_search(samples, cfg)
+        assert str(exc.value) == "5 samples cannot fill 10 folds"
 
     def test_planted_pair_wins(self, rng):
         samples = make_samples(
@@ -915,6 +935,21 @@ class TestCsvIngestion:
             "id,source_id,dmos,path\na,s,1,clip.avi\n")
         with pytest.raises(ConfigError):
             load_samples_csv(tmp_path / "x.csv")
+
+    @pytest.mark.parametrize("clip,reason", [
+        ("junk.y4m", "parse error at byte 4: unterminated header line"),
+        ("missing.y4m", "[Errno 2] No such file or directory: "),
+    ], ids=["junk", "missing"])
+    def test_unreadable_clip_names_its_row(self, tmp_path, rng, clip, reason):
+        (tmp_path / "good.y4m").write_bytes(y4m_bytes(make_sequence(rng)))
+        (tmp_path / "junk.y4m").write_bytes(b"junk")
+        (tmp_path / "x.csv").write_text(
+            f"id,source_id,dmos,path\na,s,1,good.y4m\nb,s,2,{clip}\n")
+        with pytest.raises(JerkmeterError) as exc:
+            load_samples_csv(tmp_path / "x.csv")
+        assert type(exc.value) is JerkmeterError
+        assert str(exc.value).startswith(f"row 3: {clip}: {reason}")
+        assert isinstance(exc.value.__cause__, (JerkmeterError, OSError))
 
     def test_empty_csv(self, tmp_path):
         header = "id,source_id,dmos," + ",".join(FEATURE_NAMES)

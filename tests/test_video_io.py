@@ -98,6 +98,15 @@ class TestHeaderParsing:
         with pytest.raises(UnsupportedFormat):
             VideoSequence.from_reader(Y4MReader(io.BytesIO(simple_y4m(b"W4 H2 F25:1 C420p16"))))
 
+    @pytest.mark.parametrize("head,reason", [
+        (b"YUV4MPEG2X W2 H2 F25:1\n", "garbage after signature"),
+        (b"YUV4MPEG2 W2 H2 F25:1 X\xff\n", "non-ASCII header parameter"),
+    ], ids=["garbage", "non-ascii"])
+    def test_signature_and_parameter_refusals(self, head, reason):
+        with pytest.raises(ParseError) as exc:
+            Y4MReader(io.BytesIO(head))
+        assert str(exc.value) == f"parse error at byte 9: {reason}"
+
     def test_unterminated_header(self):
         with pytest.raises(ParseError):
             VideoSequence.from_reader(Y4MReader(io.BytesIO(b"YUV4MPEG2 W4 H2 F25:1")))
