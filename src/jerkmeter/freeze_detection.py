@@ -126,31 +126,31 @@ def detect_freezes(series: FrameDiffSeries,
                           threshold=threshold)
 
 
-def _overlap(a: FreezeEvent, b: FreezeEvent) -> int:
-    lo = max(a.start_frame, b.start_frame)
-    hi = min(a.start_frame + a.duration, b.start_frame + b.duration)
-    return max(0, hi - lo)
-
-
 def score_detection(found: FreezeTimeline, truth: FreezeTimeline) -> DetectionReport:
     """Tally detections and false alarms against a ground-truth timeline.
 
     A true event is detected when a single found event covers at least half
     of its frames. A found event that touches no true event is a false
     alarm. With no true events the detection rate is vacuously 1; with no
-    found events the false-alarm rate is 0.
+    found events the false-alarm rate is 0. Both timelines are sorted and
+    their events disjoint, so one merge pass meets every overlapping pair.
     """
     if found.frame_count != truth.frame_count:
         raise ShapeError(
             f"frame counts differ: found {found.frame_count}, truth {truth.frame_count}"
         )
-    detected = sum(any(_overlap(f, t) >= MATCH_OVERLAP * t.duration for f in found.events)
-                   for t in truth.events)
-    false_alarms = sum(
-        1 for f in found.events if all(_overlap(f, t) == 0 for t in truth.events)
-    )
-    total_true = len(truth.events)
-    found_count = len(found.events)
+    touched, hit = set(), set()  # found events on a true one, true ones detected
+    i = j = 0
+    while i < len(found.events) and j < len(truth.events):
+        f, t = found.events[i], truth.events[j]
+        overlap = min(f.end_frame, t.end_frame) + 1 - max(f.start_frame, t.start_frame)
+        if overlap > 0:
+            touched.add(i)
+            if overlap >= MATCH_OVERLAP * t.duration:
+                hit.add(j)
+        i, j = (i + 1, j) if f.end_frame < t.end_frame else (i, j + 1)
+    total_true, found_count = len(truth.events), len(found.events)
+    detected, false_alarms = len(hit), found_count - len(touched)
     return DetectionReport(
         total_true=total_true,
         correctly_detected=detected,

@@ -241,14 +241,14 @@ def _lm_batch(xs: Sequence[np.ndarray], ys: Sequence[np.ndarray], m: int,
     """Levenberg-Marquardt fits of many independent problems at once.
 
     Problem (i, j) fits design matrix ``xs[i]`` to ``ys[i]`` from a start
-    drawn with ``seeds[i][j]``; every ``xs[i]`` has the same shape. Each
-    round makes one damped trial of every unfinished problem, stacked, so
-    numpy is called per round rather than per problem. A problem that has
-    just started or whose last trial was accepted first forms its normal
-    equations; one whose last trial was rejected retries on them with ten
-    times the damping. So each fit is bit for bit that of fitting its
-    problem alone. A NumericalFailure is raised for the first failing
-    problem in order, as fitting them one by one would.
+    drawn with ``seeds[i][j]``; every ``xs[i]`` has the same shape. The
+    stacked state holds the unfinished problems only. Each round forms
+    normal equations for those that have just started or whose last trial
+    was accepted, retires every problem that has stopped, by whichever
+    rule, with its fit, and makes one damped trial of each one left, so
+    numpy is called per round rather than per problem. Each fit is bit for
+    bit that of fitting its problem alone, and a NumericalFailure is raised
+    for the first failing problem in order, as fitting them one by one would.
     """
     n_samples, n = xs[0].shape
     mk = m * (n + 1)
@@ -271,74 +271,73 @@ def _lm_batch(xs: Sequence[np.ndarray], ys: Sequence[np.ndarray], m: int,
         r -= y_all[rows]
         return r, h
 
-    # State of every problem, one row each; a finished row keeps its fit.
+    # State of every unfinished problem, one row each, still grouped by
+    # design matrix; row i fits problem rows[i].
+    rows = np.arange(total)
     w = np.stack([np.random.default_rng(s).uniform(
         -_INIT_SCALE, _INIT_SCALE, size=p)
         for group in seeds for s in group])
     r, h = residuals(w, design)
     sse = _sumsq(r)
     lam = np.full(total, _LAMBDA_INIT)
-    history = [[v] for v in (sse / n_samples).tolist()]
-    iterations = np.zeros(total, dtype=int)
+    history = [[v] for v in (sse / n_samples).tolist()]  # by problem
+    iters = np.zeros(total, dtype=int)
     grad = np.empty((total, p))
     jtj = np.empty((total, p, p))
-    live = np.ones(total, dtype=bool)
-    failures: dict[int, str] = {}  # row -> message
+    fits: list[LMFit | None] = [None] * total
+    failures: dict[int, str] = {}  # problem -> message
     jac = np.ones((max(len(group) for group in seeds), n_samples, p))
-
-    def trial(act):
-        """Try each problem in `act` once; return those needing new equations."""
-        lam_t = lam[act]
-        damped = jtj[act]
-        damped.reshape(act.size, p * p)[:, :: p + 1] += lam_t[:, None]
-        delta, solved = _solve(damped, -grad[act])
-        del damped  # gone before the trial's residuals
-        w_t = w[act] + delta
-        r_t, h_t = residuals(w_t, design[act])
-        sse_t = _sumsq(r_t)
-        better = solved & np.isfinite(sse_t) & (sse_t < sse[act])
-        # More damping makes the system better conditioned; only a
-        # failure at the ceiling is a genuine numerical breakdown.
-        stuck = ~solved & (lam_t >= _LAMBDA_MAX)
-        for row, value in zip(act[stuck].tolist(), lam_t[stuck].tolist()):
-            failures[row] = f"normal equations singular even at lambda={value:g}"
-        acc = act[better]
-        w[acc], r[acc], h[acc], sse[acc] = (
-            w_t[better], r_t[better], h_t[better], sse_t[better])
-        for row, v in zip(acc.tolist(), (sse_t[better] / n_samples).tolist()):
-            history[row].append(v)
-        lam[act] = np.where(better, np.maximum(lam_t * _LAMBDA_DOWN, _LAMBDA_MIN),
-                            lam_t * _LAMBDA_UP)
-        small = np.sqrt(_sumsq(delta[better])) < _TOL_STEP * (
-            np.sqrt(_sumsq(w_t[better])) + _TOL_STEP)
-        live[acc[small | (iterations[acc] == cfg.max_iters)]] = False
-        return acc[live[acc]]
-
-    new = np.arange(total)
+    new, ended = rows, np.zeros(total, dtype=bool)  # every start needs equations
     while True:
-        iterations[new] += 1
+        iters[new] += 1
         for lo, hi, i in _runs(design[new]):
             own = new[lo:hi]
             block = _jacobian(x1s[i], h[own], w[own, mk:-1], out=jac[: hi - lo])
             block_t = block.transpose(0, 2, 1)
             grad[own] = np.matmul(block_t, r[own, :, None])[:, :, 0]
             jtj[own] = np.matmul(block_t, block)
-        flat = np.abs(grad[new]).max(axis=1) < _TOL_GRAD
-        broken = ~flat & ~np.isfinite(jtj[new]).all(axis=(1, 2))
-        for row in new[broken].tolist():
-            failures[row] = "non-finite normal equations"
-        live[new[flat | broken]] = False
-        live &= lam <= _LAMBDA_MAX  # no damping up to the ceiling helped
-        act = np.flatnonzero(live)
-        if not act.size:
-            break
-        new = trial(act)
+        # The one exit. Equations a row kept from an earlier round are
+        # neither flat nor broken, or it would have stopped then.
+        flat = np.abs(grad).max(axis=1) < _TOL_GRAD
+        broken = ~flat & ~np.isfinite(jtj).all(axis=(1, 2))
+        stop = ended | flat | broken | (lam > _LAMBDA_MAX)
+        if stop.any():
+            failures.update(dict.fromkeys(rows[broken].tolist(),
+                                          "non-finite normal equations"))
+            for i, row in zip(np.flatnonzero(stop).tolist(), rows[stop].tolist()):
+                fits[row] = LMFit(*_unpack(w[i], m, n), mse=float(sse[i] / n_samples),
+                                  history=tuple(history[row]), iterations=int(iters[i]))
+            rows, design, w, r, h, sse, lam, iters, grad, jtj = (a[~stop] for a in (
+                rows, design, w, r, h, sse, lam, iters, grad, jtj))
+            if not rows.size:
+                break
+        # One damped trial of every row left.
+        damped = jtj.copy()
+        damped.reshape(rows.size, p * p)[:, :: p + 1] += lam[:, None]
+        delta, solved = _solve(damped, -grad)
+        del damped  # gone before the trial's residuals
+        w_t = w + delta
+        r_t, h_t = residuals(w_t, design)
+        sse_t = _sumsq(r_t)
+        accepted = solved & np.isfinite(sse_t) & (sse_t < sse)
+        # More damping makes the system better conditioned; only a
+        # failure at the ceiling is a genuine numerical breakdown.
+        stuck = ~solved & (lam >= _LAMBDA_MAX)
+        for row, value in zip(rows[stuck].tolist(), lam[stuck].tolist()):
+            failures[row] = f"normal equations singular even at lambda={value:g}"
+        w[accepted], r[accepted], h[accepted], sse[accepted] = (
+            w_t[accepted], r_t[accepted], h_t[accepted], sse_t[accepted])
+        for row, v in zip(rows[accepted].tolist(), sse[accepted].tolist()):
+            history[row].append(v / n_samples)
+        lam = np.where(accepted, np.maximum(lam * _LAMBDA_DOWN, _LAMBDA_MIN),
+                       lam * _LAMBDA_UP)
+        small = np.sqrt(_sumsq(delta)) < _TOL_STEP * (np.sqrt(_sumsq(w_t)) + _TOL_STEP)
+        ended = accepted & (small | (iters == cfg.max_iters))
+        new = np.flatnonzero(accepted & ~ended)
+        del delta, w_t, r_t, h_t  # not alive through the next compaction
     if failures:
         raise NumericalFailure(failures[min(failures)])
 
-    fits = [LMFit(*_unpack(w[i], m, n), mse=float(sse[i] / n_samples),
-                  history=tuple(history[i]), iterations=int(iterations[i]))
-            for i in range(total)]
     bounds = np.cumsum([0] + [len(group) for group in seeds]).tolist()
     return [fits[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jerkmeter import (
@@ -14,6 +14,7 @@ from jerkmeter import (
     freeze_threshold,
     score_detection,
 )
+from jerkmeter.freeze_detection import MATCH_OVERLAP
 
 
 def make_series(values, cuts=()):
@@ -236,7 +237,41 @@ def timelines(draw, frame_count=60):
     return FreezeTimeline(events, frame_count=frame_count)
 
 
+def _overlap(a, b):
+    lo = max(a.start_frame, b.start_frame)
+    hi = min(a.start_frame + a.duration, b.start_frame + b.duration)
+    return max(0, hi - lo)
+
+
+def reference_counts(found, truth):
+    """(detected, false alarms) by comparing every (found, true) pair of events."""
+    detected = sum(any(_overlap(f, t) >= MATCH_OVERLAP * t.duration for f in found.events)
+                   for t in truth.events)
+    false_alarms = sum(
+        1 for f in found.events if all(_overlap(f, t) == 0 for t in truth.events)
+    )
+    return detected, false_alarms
+
+
+def _timeline(*events):
+    return FreezeTimeline([FreezeEvent(*ev) for ev in events], frame_count=60)
+
+
 class TestScoreProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(timelines(), timelines())
+    @example(_timeline((12, 2)), _timeline((10, 4)))  # exactly half covered
+    @example(_timeline((13, 2)), _timeline((10, 5)))  # just under half, touching
+    @example(_timeline((10, 4)), _timeline((14, 3)))  # adjacent, no shared frame
+    @example(_timeline((10, 4), (20, 6)), _timeline((13, 8)))  # shared ends
+    @example(_timeline(), _timeline((10, 4)))
+    @example(_timeline((10, 4)), _timeline())
+    def test_merge_pass_equals_every_pair(self, found, truth):
+        report = score_detection(found, truth)
+        assert (report.correctly_detected, report.false_alarms) == \
+            reference_counts(found, truth)
+        assert report.total_true == len(truth.events)
+
     @settings(max_examples=50, deadline=None)
     @given(timelines())
     def test_self_score_is_perfect(self, timeline):

@@ -371,6 +371,31 @@ class TestLmBatch:
         # A round per trial of the problem that tries most.
         assert len(rows) == max(len(tried) for tried in trials)
 
+    def test_rows_stopping_by_different_rules_in_one_round(self):
+        # A problem leaves the batch in the round after its last trial. A
+        # constant target reaches a flat gradient (after rejected trials) in
+        # the round in which a noisy problem reaches max_iters; the other
+        # restarts stop earlier or run on.
+        x_flat = np.random.default_rng(4).normal(size=(30, 3))
+        rng = np.random.default_rng(5)
+        x_noisy = rng.normal(size=(30, 3))
+        y_noisy = np.tanh(x_noisy[:, 0] - 0.5 * x_noisy[:, 1]) \
+            + 0.1 * rng.normal(size=30)
+        xs, ys = [x_flat, x_noisy], [np.full(30, 0.1), y_noisy]
+        seeds = [training._children(derived_seed(4, 0), 6),
+                 [derived_seed(5, j) for j in range(9)]]
+        cfg = LMConfig(max_iters=20)
+        stops = assert_batch_matches_reference(xs, ys, 2, cfg, seeds)
+        rounds = []
+        for x, y, group in zip(xs, ys, seeds):
+            for seed in group:
+                tried = []
+                reference_lm(x, y, 2, cfg, np.random.default_rng(seed), tried)
+                rounds.append(len(tried) + 1)
+        assert (rounds[1], stops[1]) == (24, "tol_grad")
+        assert (rounds[-1], stops[-1]) == (24, "max_iters")
+        assert len(set(rounds)) > 2
+
     def test_problem_alone_equals_problem_in_a_batch_of_50(self):
         rng = np.random.default_rng(12)
         xs = [rng.normal(size=(36, 4)) for _ in range(10)]
