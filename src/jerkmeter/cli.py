@@ -31,7 +31,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .degradation import FreezeKind, FreezePlan, capture_noise_frames, gradient_video, inject
-from .errors import ConfigError, JerkmeterError
+from .errors import ConfigError, JerkmeterError, UnsupportedFormat
 from .eval_metrics import evaluate
 from .features import FEATURE_NAMES, analyze
 from .frame_analysis import compute_series
@@ -115,8 +115,12 @@ def _open_video(args) -> Iterator[Y4MReader]:
         if args.size is None:
             raise ConfigError("raw YUV input requires --size WxH")
         (width, height), (fps_num, fps_den) = args.size, args.fps
-        header = VideoHeader(width=width, height=height, fps_num=fps_num,
-                             fps_den=fps_den, chroma=ChromaFormat(args.chroma))
+        try:
+            header = VideoHeader(width=width, height=height, fps_num=fps_num,
+                                 fps_den=fps_den, chroma=ChromaFormat(args.chroma))
+        except UnsupportedFormat as exc:
+            raise ConfigError(f"--size {width}x{height} does not fit --chroma "
+                              f"{args.chroma}: {exc}") from None
     with open(args.input, "rb") as handle:
         yield Y4MReader(handle, header)
 

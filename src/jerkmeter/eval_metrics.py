@@ -44,19 +44,14 @@ def pearson(x, y) -> float:
 
 
 def rank(values) -> np.ndarray:
-    """Fractional ranks, 1-based; ties share the average of their positions."""
-    values = np.asarray(values, dtype=np.float64)
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(values.size, dtype=np.float64)
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        # positions i..j (0-based) share rank mean(i+1 .. j+1)
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    """Fractional ranks, 1-based; ties share the average of their positions.
+
+    ``return_index`` makes ``np.unique`` sort stably, so each NaN keeps its
+    input order and a rank of its own.
+    """
+    _, _, inverse, counts = np.unique(np.asarray(values, dtype=np.float64), return_index=True,
+                                      return_inverse=True, return_counts=True, equal_nan=False)
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
 
 
 def spearman(x, y) -> float:

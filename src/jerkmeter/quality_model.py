@@ -112,10 +112,6 @@ class QualityModel:
         return self.hidden.shape[0]
 
     @property
-    def param_count(self) -> int:
-        return self.hidden.size + self.output.size
-
-    @property
     def calibrated(self) -> bool:
         return self.meta.get("normalization") == "fitted"
 

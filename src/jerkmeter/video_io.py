@@ -54,13 +54,6 @@ _CHROMA_TOKENS = {
     "mono": ChromaFormat.MONO,
 }
 
-_CANONICAL_TOKENS = {
-    ChromaFormat.C420: "420jpeg",
-    ChromaFormat.C422: "422",
-    ChromaFormat.C444: "444",
-    ChromaFormat.MONO: "mono",
-}
-
 
 @dataclass(frozen=True)
 class VideoHeader:
@@ -468,7 +461,7 @@ def header_tokens(header: VideoHeader) -> tuple[str, ...]:
         f"W{header.width}",
         f"H{header.height}",
         f"F{header.fps_num}:{header.fps_den}",
-        f"C{_CANONICAL_TOKENS[header.chroma]}",
+        "C420jpeg" if header.chroma is ChromaFormat.C420 else f"C{header.chroma.value}",
     )
 
 

@@ -331,6 +331,22 @@ class TestRawInput:
                                 "--json"])
         assert doc["frame_count"] == 3
 
+    @pytest.mark.parametrize("name,data,flags,code,message", [
+        ("clip.yuv", bytes(96), ["--size", "1x1"], 1,
+         "--size 1x1 does not fit --chroma 420: 4:2:0 needs even width and height"),
+        ("clip.yuv", bytes(96), ["--size", "3x2", "--chroma", "422"], 1,
+         "--size 3x2 does not fit --chroma 422: 4:2:2 needs even width"),
+        ("clip.y4m", b"YUV4MPEG2 W3 H3 F25:1\nFRAME\n" + bytes(9), [], 2,
+         "4:2:0 needs even width and height"),
+    ], ids=["raw-420", "raw-422", "y4m"])
+    def test_size_that_does_not_fit_the_chroma(self, tmp_path, capsys, name, data,
+                                               flags, code, message):
+        # On the command line it is a usage error; in a .y4m header, bad input.
+        clip = tmp_path / name
+        clip.write_bytes(data)
+        assert run(["fd", str(clip), *flags]) == code
+        assert capsys.readouterr().err == f"jerkmeter: error: {message}\n"
+
     def test_score_raw_matches_y4m(self, clip, tmp_path, capsys):
         with open(clip, "rb") as handle:
             seq = VideoSequence.from_reader(Y4MReader(handle))

@@ -21,6 +21,30 @@ def textbook_pearson(x, y):
     return num / den
 
 
+def reference_rank(values):
+    """The tie loop that `rank` replaced: the ranks it must reproduce bit for bit."""
+    values = np.asarray(values, dtype=np.float64)
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(values.size, dtype=np.float64)
+    i = 0
+    while i < values.size:
+        j = i
+        while j + 1 < values.size and values[order[j + 1]] == values[order[i]]:
+            j += 1
+        # positions i..j (0-based) share rank mean(i+1 .. j+1)
+        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
+
+
+# Few distinct values, so that draws tie; signed zeros, infinities and NaN
+# (each NaN unequal to every value, itself included).
+tie_prone_vec = st.lists(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, 1e300, 5e-324, math.inf, -math.inf, math.nan])
+    | st.floats(allow_nan=True, allow_infinity=True),
+    max_size=40)
+
+
 class TestPearson:
     def test_affine_identity(self):
         x = [1.0, 2.0, 5.0, 9.0]
@@ -69,6 +93,19 @@ class TestRank:
 
     def test_all_tied(self):
         assert rank([7, 7, 7]).tolist() == [2.0, 2.0, 2.0]
+
+    @settings(max_examples=300)
+    @given(tie_prone_vec)
+    def test_matches_the_tie_loop(self, values):
+        got = rank(values)
+        assert got.dtype == np.float64 and got.shape == (len(values),)
+        assert got.tobytes() == reference_rank(values).tobytes()
+
+    def test_nans_rank_last_in_input_order(self):
+        # 17 values: longer than numpy's quicksort leaves to insertion sort,
+        # so an unstable sort could swap the NaNs.
+        values = [math.nan if i % 3 == 0 else float(i % 2) for i in range(17)]
+        assert rank(values)[::3].tolist() == [12.0, 13.0, 14.0, 15.0, 16.0, 17.0]
 
     @settings(max_examples=50)
     @given(finite_vec)

@@ -23,6 +23,7 @@ from jerkmeter import (
     score_features,
 )
 from jerkmeter.quality_model import forward, sigmoid
+from jerkmeter.training import param_count
 
 
 def small_model(n=2, m=1, hidden=None, output=None, mean=None, std=None, meta=None):
@@ -199,7 +200,8 @@ class TestNormalize:
 class TestModelValidation:
     def test_param_count(self):
         model = small_model(n=2, m=3, hidden=np.zeros((3, 3)), output=np.zeros(4))
-        assert model.param_count == 3 * (2 + 1) + 3 + 1
+        assert param_count(model.n_hidden, model.n_features) == \
+            model.hidden.size + model.output.size == 3 * (2 + 1) + 3 + 1
 
     def test_unknown_feature(self):
         with pytest.raises(InvalidModel) as exc:
@@ -378,7 +380,8 @@ class TestDefaultModel:
             "AvgFzDist", "NumFz", "rDurDist", "rFD", "StdFzDist", "rLenFz",
         )
         assert model.n_hidden == 3
-        assert model.param_count == 25
+        assert param_count(model.n_hidden, model.n_features) == \
+            model.hidden.size + model.output.size == 25
         assert not model.calibrated
         assert np.array_equal(model.norm_mean, np.zeros(6))
         assert np.array_equal(model.norm_std, np.ones(6))
