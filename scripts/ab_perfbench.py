@@ -20,6 +20,11 @@ of the parent's median):
                 and not every change run beats every parent run;
   within bound  anything else.
 
+It also says whether the change could claim a gain on the metric: only
+when the change side was better in at least 9 of every 10 pairs, ties
+counting for neither side, and its median is better than the parent's
+by more than the parent's interquartile range.
+
 Every run's metrics, seed and order go to ``--out``.
 """
 
@@ -79,6 +84,8 @@ def summarise(pairs: list[dict], metrics: list[dict]) -> dict:
             verdict = "unresolved"
         else:
             verdict = "within bound"
+        gain = (10 * wins >= 9 * len(pairs)
+                and sign * (q["parent"][1] - q["change"][1]) > q["parent"][2] - q["parent"][0])
         summary[name] = {
             "unit": metric["unit"],
             "better": metric["better"],
@@ -91,6 +98,7 @@ def summarise(pairs: list[dict], metrics: list[dict]) -> dict:
             "pairs": len(pairs),
             "bound": metric["bound"],
             "verdict": verdict,
+            "gain": gain,
         }
     return summary
 
@@ -134,7 +142,8 @@ def main(argv=None) -> int:
         print(f"  {name:<12} parent {p['median']:.4g} [{p['q1']:.4g}, {p['q3']:.4g}]"
               f"  change {c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}] {s['unit']}"
               f"  ({s['change_pct']:+.1f} %, change better in "
-              f"{s['change_better_pairs']}/{s['pairs']}): {s['verdict']}")
+              f"{s['change_better_pairs']}/{s['pairs']}): {s['verdict']}"
+              f"; gain: {'yes' if s['gain'] else 'no'}")
     print(f"  failed operations: parent {failed['parent']}, change {failed['change']}")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:

@@ -1,10 +1,16 @@
 #!/usr/bin/env python3
 """Sweep capture-noise density against freeze-detection accuracy.
 
-Builds gradient clips, injects random loss/delay freeze plans with exact
-ground truth, adds increasing amounts of +/-1 pixel noise, and reports
-aggregate detection and false-alarm rates per density. Useful for picking
-detector thresholds for a given capture pipeline.
+Builds one gradient clip, injects random loss/delay freeze plans with
+exact ground truth, adds increasing amounts of +/-1 pixel noise, and
+reports aggregate detection and false-alarm rates per density.
+
+It measures noise on one content only: a full-frame ramp with a median
+FD of about 1,030, whose threshold (0.02 x median, about 20) no +/-1
+noise reaches, so it reads a detection rate of 1.000 at every density.
+It does not vary the content, so it cannot pick detector thresholds:
+low-motion content, whose threshold sits at the 0.05 floor, misses every
+freeze at a noise density of 0.05.
 
     python3 scripts/detection_sweep.py --plans 60 --noise 0,0.005,0.01,0.05
 """

@@ -55,14 +55,7 @@ class PlanError(JerkmeterError):
     """A degradation plan does not fit the target sequence."""
 
 
-class InvalidModel(JerkmeterError):
-    """A model breaks a rule of its structure or values.
-
-    ``QualityModel`` raises it as ``ModelFormatError``, which names the key.
-    """
-
-
-class ModelFormatError(InvalidModel):
+class ModelFormatError(JerkmeterError):
     """A model breaks a rule; ``field`` is the JSON key of the model file at fault."""
 
     def __init__(self, field: str, reason: str = ""):
@@ -75,6 +68,10 @@ class ModelFormatError(InvalidModel):
 
     def __reduce__(self):
         return type(self), (self.field, self.reason)
+
+
+# Another name for the one model error, kept for callers that catch it.
+InvalidModel = ModelFormatError
 
 
 class ConfigError(JerkmeterError):

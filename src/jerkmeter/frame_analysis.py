@@ -14,6 +14,7 @@ arithmetic would: results are bit-exact and platform independent.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -112,55 +113,54 @@ def detect_scene_cuts(values: np.ndarray) -> np.ndarray:
     return flags
 
 
-def _frame_blocks(frames: Iterator[LumaFrame], width: int,
-                  height: int) -> Iterator[np.ndarray]:
-    """Copy frames into one reused block; yield its filled (frames, W*H) rows."""
-    capacity = max(1, _BLOCK_BYTES // (width * height))
-    block = np.empty((capacity, height, width), dtype=np.uint8)
-    rows = block.reshape(capacity, -1)
-    filled = 0
-    for frame in frames:
-        if frame.width != width or frame.height != height:
-            raise ShapeError(
-                f"frame sizes differ: {width}x{height} vs {frame.width}x{frame.height}")
-        block[filled] = frame.samples
-        filled += 1
-        if filled == capacity:
-            yield rows
-            filled = 0
-    if filled:
-        yield rows[:filled]
+def _luma_rows(source: Iterable[LumaFrame] | Y4MReader) -> Iterator[np.ndarray]:
+    """Luma of ``source``'s remaining frames as (frames, W*H) row blocks.
+
+    The first frame is a one-row block of its own and fixes the geometry.
+    A ``Y4MReader``'s later blocks are its ``luma_blocks``. Any other
+    source's frames are drawn ``_BLOCK_BYTES`` at a time and copied into
+    one reused block, so a lazily made source holds at most one block of
+    frames while they are copied.
+    """
+    if isinstance(source, Y4MReader):
+        # read_frame copies the first frame out, leaving the reader's buffer
+        # free for the blocks; perfbench's traced tiny run counts this call.
+        if (head := source.read_frame()) is not None:
+            yield head[0].samples.reshape(1, -1)
+            del head  # the caller holds its copy; do not keep the frame alive
+            yield from source.luma_blocks(_BLOCK_BYTES)
+        return
+    frames = iter(source)
+    if (first := next(frames, None)) is None:
+        return
+    width, height = first.width, first.height
+    yield first.samples.reshape(1, -1)
+    del first
+    block = np.empty((max(1, _BLOCK_BYTES // (width * height)), width * height), np.uint8)
+    while chunk := list(islice(frames, len(block))):
+        for f in chunk:
+            if f.width != width or f.height != height:
+                raise ShapeError(
+                    f"frame sizes differ: {width}x{height} vs {f.width}x{f.height}")
+        rows = block[:len(chunk)]
+        # Frames of equal size, joined row after row, fill ``rows`` in place.
+        np.concatenate([f.samples for f in chunk], out=rows.reshape(-1, width))
+        del chunk, f  # hold no frame while the caller differences the block
+        yield rows
 
 
 def _series_values(source: Iterable[LumaFrame] | Y4MReader) -> np.ndarray:
     """Differences of the remaining frames of ``source``; empty for fewer than two.
 
-    The first frame fixes the geometry. The rest arrive in blocks of rows,
-    views into a ``Y4MReader``'s buffer or copies from any other source.
-    Each block is differenced where it lies, its first row against the
-    last row of the block before, which is carried over; memory holds one
-    block however long the clip.
+    Each block of ``_luma_rows`` is differenced where it lies, its first
+    row against the last row of the block before, which is carried over;
+    memory holds one block however long the clip.
     """
-    if isinstance(source, Y4MReader):
-        # read_frame copies the first frame out, leaving the reader's buffer
-        # free for the blocks; perfbench's traced tiny run counts this call.
-        head = source.read_frame()
-        first = None if head is None else head[0]
-        del head
-    else:
-        frames = iter(source)
-        first = next(frames, None)
-    if first is None:
-        return np.empty(0)
-    width, height = first.width, first.height
-    last = first.samples.reshape(1, -1).copy()
-    del first  # ``last`` holds its copy; do not keep the frame alive
-    if isinstance(source, Y4MReader):
-        blocks = source.luma_blocks(_BLOCK_BYTES)
-    else:
-        blocks = _frame_blocks(frames, width, height)
-    parts = [np.empty(0)]
-    for rows in blocks:
+    parts, last = [np.empty(0)], None
+    for rows in _luma_rows(source):
+        if last is None:  # the first frame, alone in its block
+            last = rows.copy()
+            continue
         parts.append(_fd_pairs(last, rows[:1]))
         if len(rows) > 1:
             parts.append(_fd_pairs(rows[:-1], rows[1:]))

@@ -6,10 +6,11 @@ normalize them with, and the network weights. Hidden nodes are sigmoid,
 input and output are linear. The output is a predicted DMOS (difference
 mean opinion score): higher means more visible jerkiness, i.e. worse.
 
-A default model ships with the package. Its weights are real, its
-normalization statistics are placeholders (zero mean, unit variance):
-scores from it are comparable with each other but not calibrated to any
-subjective scale until the statistics are refitted on annotated data.
+A default model ships with the package: real weights, placeholder
+normalization statistics (zero mean, unit variance). Raw features then
+saturate its hidden units, so its scores do not rank clips: three loss
+freezes take a clean 64x64 synthetic clip from -1.6331 to -2.5268, a
+better score. Train a model on annotated data before comparing clips.
 """
 
 from __future__ import annotations

@@ -14,8 +14,11 @@ combination gets its own derived seed. Structures are evaluated by up to
 `workers` processes, the calling one and children forked from it, and
 their errors are reduced in enumeration order, so the result does not
 depend on how many processes ran. The same inputs and seed give the same
-bytes on one numpy and BLAS build on one CPU kernel; another kernel
-rounds the batched products and solves differently.
+bytes on one numpy and BLAS build on one CPU class: both OpenBLAS's kernel
+and numpy's SIMD dispatch decide how the batched products, the solves and
+``np.exp`` round. ``fd``, ``detect`` and ``features`` bytes hold on any
+kernel, as the FD is integer-exact; ``score``, ``eval`` and ``predict``
+bytes can differ in the last digit, as ``forward`` uses both too.
 """
 
 from __future__ import annotations
@@ -58,6 +61,9 @@ class TrainingSample:
         if not isinstance(self.features, FeatureVector):
             object.__setattr__(self, "features", FeatureVector(
                 **{name: float(self.features[name]) for name in FEATURE_NAMES}))
+        for name, value in vars(self.features).items():
+            if not math.isfinite(value):
+                raise ValueError(f"feature {name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -202,7 +208,9 @@ def _children(seq: np.random.SeedSequence,
 
 
 def _sumsq(a: np.ndarray) -> np.ndarray:
-    """Row-wise ``a[i] @ a[i]``; matmul rounds each exactly as the 1-D dot does."""
+    """Row-wise ``a[i] @ a[i]``. Under OpenBLAS's SkylakeX kernel matmul
+    rounds each exactly as the 1-D dot does, whatever numpy's SIMD dispatch;
+    under another kernel, Prescott for one, it need not."""
     return np.matmul(a[:, None, :], a[:, :, None])[:, 0, 0]
 
 

@@ -43,16 +43,10 @@ class ChromaFormat(enum.Enum):
     MONO = "mono"
 
 
-# Raw C-token -> format. Anything else (alpha planes, >8-bit depths) is refused.
-_CHROMA_TOKENS = {
-    "420": ChromaFormat.C420,
-    "420jpeg": ChromaFormat.C420,
-    "420mpeg2": ChromaFormat.C420,
-    "420paldv": ChromaFormat.C420,
-    "422": ChromaFormat.C422,
-    "444": ChromaFormat.C444,
-    "mono": ChromaFormat.MONO,
-}
+# Raw C-token -> format: each format's value, and the three 4:2:0 chroma
+# sitings. Anything else (alpha planes, >8-bit depths) is refused.
+_CHROMA_TOKENS = {fmt.value: fmt for fmt in ChromaFormat} | dict.fromkeys(
+    ("420jpeg", "420mpeg2", "420paldv"), ChromaFormat.C420)
 
 
 @dataclass(frozen=True)
@@ -119,14 +113,10 @@ class LumaFrame:
     def __eq__(self, other) -> bool:
         if not isinstance(other, LumaFrame):
             return NotImplemented
-        return (
-            self.width == other.width
-            and self.height == other.height
-            and np.array_equal(self.samples, other.samples)
-        )
+        return np.array_equal(self.samples, other.samples)
 
 
-@dataclass(eq=False)
+@dataclass
 class VideoSequence:
     header: VideoHeader
     frames: list[LumaFrame]
@@ -165,15 +155,6 @@ class VideoSequence:
 
     def __iter__(self) -> Iterator[LumaFrame]:
         return iter(self.frames)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, VideoSequence):
-            return NotImplemented
-        return (
-            self.header == other.header
-            and self.frames == other.frames
-            and self.chroma == other.chroma
-        )
 
 
 def _parse_count(text: str, pos: int, what: str) -> int:
@@ -471,6 +452,6 @@ def write_y4m(seq: VideoSequence, sink: BinaryIO,
     tokens = header_tokens(seq.header)
     sink.write(Y4M_SIGNATURE + b"".join(b" " + t.encode("ascii") for t in tokens) + b"\n")
     for frame, chroma in zip(seq.frames if frames is None else frames, seq.chroma):
-        sink.write(b"FRAME\n")
+        sink.write(_MARKER)
         sink.write(frame.samples.tobytes())
         sink.write(chroma)

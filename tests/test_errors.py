@@ -13,11 +13,13 @@ ARGS = {
     errors.ModelFormatError: ("hidden", "wrong shape"),
 }
 
-CLASSES = [c for _, c in inspect.getmembers(errors, inspect.isclass)
-           if issubclass(c, errors.JerkmeterError)]
+# Keyed by the name each class is exported under: InvalidModel is another
+# name for ModelFormatError.
+CLASSES = {name: c for name, c in inspect.getmembers(errors, inspect.isclass)
+           if issubclass(c, errors.JerkmeterError)}
 
 
-@pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
+@pytest.mark.parametrize("cls", list(CLASSES.values()), ids=list(CLASSES))
 def test_round_trips_through_pickle(cls):
     exc = cls(*ARGS.get(cls, ("something went wrong",)))
     back = pickle.loads(pickle.dumps(exc))

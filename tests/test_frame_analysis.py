@@ -1,5 +1,6 @@
 import io
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -178,6 +179,38 @@ class TestComputeSeries:
         frames = random_frames(rng, 33, 64, 64)
         expected = [frame_diff(frames[i], frames[i + 1]) for i in range(32)]
         assert compute_series(frames).values.tolist() == expected
+
+    @pytest.mark.parametrize("later", [1, 64, 65, 66])
+    def test_lazy_frames_equal_the_reader(self, rng, monkeypatch, later):
+        # The first frame is a block of its own; 64 more fill the next one.
+        monkeypatch.setattr(frame_analysis, "_BLOCK_BYTES", 64 * 64 * 64)
+        header = VideoHeader(width=64, height=64, fps_num=25, fps_den=1)
+        seq = VideoSequence.from_luma(header, random_frames(rng, 1 + later, 64, 64))
+        lazy = compute_series(frame(f.samples.copy()) for f in seq.frames)
+        read = compute_series(Y4MReader(io.BytesIO(y4m_bytes(seq))))
+        assert lazy.values.tobytes() == read.values.tobytes()
+        assert np.array_equal(lazy.scene_cut_flags, read.scene_cut_flags)
+
+    def test_lazy_frames_are_held_one_block_at_a_time(self, monkeypatch):
+        # Four 4x4 frames fill a block; at most that many may be alive.
+        monkeypatch.setattr(frame_analysis, "_BLOCK_BYTES", 4 * 16)
+        refs = []
+
+        def frames():
+            for i in range(40):
+                made = frame(np.full((4, 4), i))
+                refs.append(weakref.ref(made))
+                assert sum(r() is not None for r in refs) <= 4
+                yield made
+
+        assert compute_series(frames()).values.tolist() == [1.0] * 39
+
+    def test_other_size_in_the_second_block(self, rng, monkeypatch):
+        monkeypatch.setattr(frame_analysis, "_BLOCK_BYTES", 64 * 64 * 64)
+        frames = random_frames(rng, 70, 64, 64)
+        frames[66] = random_frames(rng, 1, 32, 16)[0]
+        with pytest.raises(ShapeError, match="^frame sizes differ: 64x64 vs 32x16$"):
+            compute_series(f for f in frames)
 
     def test_strided_frames(self, rng):
         wide = random_frames(rng, 6, 8, 4)

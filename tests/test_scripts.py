@@ -67,7 +67,27 @@ def test_ab_perfbench(tmp_path, capsys):
         assert metric["pairs"] == 2 and 0 <= metric["change_better_pairs"] <= 2
         assert metric["parent"]["q1"] <= metric["parent"]["median"] <= metric["parent"]["q3"]
         assert metric["verdict"] in ("worse", "unresolved", "within bound")
-        assert f"): {metric['verdict']}" in printed
+        assert f"): {metric['verdict']}; gain: {'yes' if metric['gain'] else 'no'}" \
+            in printed
+
+    # The gain rule: better in 9 of 10 pairs, ties counting for neither side,
+    # and medians apart by more than the parent's interquartile range.
+    def pairs(parent, change):
+        return [{side: {"metrics": {"call_ms": {"value": v}}} for side, v in
+                 (("parent", p), ("change", c))} for p, c in zip(parent, change)]
+
+    metric = [{"name": "call_ms", "unit": "ms", "better": "lower", "bound": 0.25}]
+    parent = [100.0 + k for k in range(10)]  # median 104.5, quartiles 102.25 and 106.75
+    assert ab.summarise(pairs(parent, [v - 5 for v in parent]), metric)["call_ms"]["gain"]
+    nine = [v - 5 for v in parent[:9]] + [parent[9]]  # the tie counts for neither side
+    assert ab.summarise(pairs(parent, nine), metric)["call_ms"]["change_better_pairs"] == 9
+    assert ab.summarise(pairs(parent, nine), metric)["call_ms"]["gain"]
+    eight = [v - 5 for v in parent[:8]] + parent[8:]
+    assert not ab.summarise(pairs(parent, eight), metric)["call_ms"]["gain"]
+    close = [v - 4 for v in parent]  # wins every pair, but within the spread
+    assert not ab.summarise(pairs(parent, close), metric)["call_ms"]["gain"]
+    higher = [{**metric[0], "better": "higher"}]
+    assert not ab.summarise(pairs(parent, [v - 5 for v in parent]), higher)["call_ms"]["gain"]
 
 
 def test_bench_split(tmp_path, capsys, monkeypatch):

@@ -185,6 +185,16 @@ class TestConfigs:
         with pytest.raises(ValueError):
             TrainingSample(features={}, dmos=float("nan"))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_sample_features_must_be_finite(self, bad):
+        # Refused when made, not once the search reaches a structure that
+        # reads the feature; the first non-finite one is named.
+        values = dict.fromkeys(FEATURE_NAMES, 1.0) | {"NumFz": bad, "rFD": bad}
+        with pytest.raises(ValueError, match="^feature NumFz must be finite$"):
+            TrainingSample(features=values, dmos=1.0)
+        with pytest.raises(ValueError, match="^feature NumFz must be finite$"):
+            TrainingSample(features=FeatureVector(**values), dmos=1.0)
+
     def test_sample_features_become_a_feature_vector(self):
         values = {name: float(i) for i, name in enumerate(FEATURE_NAMES)}
         sample = TrainingSample(features=values, dmos=1.0)

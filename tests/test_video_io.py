@@ -69,6 +69,15 @@ class TestHeaderParsing:
         header = Y4MReader(io.BytesIO(b"YUV4MPEG2 W4 H2 F25:1 " + token + b"\n")).header
         assert header.chroma is fmt
 
+    def test_every_format_value_and_420_siting(self):
+        tokens = {fmt.value: fmt for fmt in ChromaFormat}
+        tokens.update(dict.fromkeys(["420jpeg", "420mpeg2", "420paldv"], ChromaFormat.C420))
+        for token, fmt in tokens.items():
+            data = f"YUV4MPEG2 W4 H2 F25:1 C{token}\n".encode()
+            assert Y4MReader(io.BytesIO(data)).header.chroma is fmt
+        with pytest.raises(UnsupportedFormat, match="^chroma token C420p10$"):
+            Y4MReader(io.BytesIO(b"YUV4MPEG2 W4 H2 F25:1 C420p10\n"))
+
     def test_missing_signature(self):
         with pytest.raises(ParseError) as exc:
             VideoSequence.from_reader(Y4MReader(io.BytesIO(b"AVI xxxx\n")))
